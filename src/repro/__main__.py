@@ -81,7 +81,7 @@ from repro.exp import (
     make_backend,
     parse_shard,
 )
-from repro.sim.config import EXECUTION_ENGINES, SimulationConfig
+from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
 from repro.workloads.cloudsuite import WORKLOAD_NAMES
 
@@ -158,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--baseline", action="store_true",
         help="also run the no-cache baseline and report the improvement",
-    )
-    parser.add_argument(
-        "--engine", choices=EXECUTION_ENGINES, default=None,
-        help="execution engine (default interp; vector requires NumPy and "
-        "is byte-identical, just faster)",
     )
     _obs_flags(parser)
 
@@ -249,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore stored results (fresh results are still recorded)",
     )
     sweep.add_argument(
-        "--engine", dest="sweep_engine", choices=EXECUTION_ENGINES, default=None,
-        help="execution engine for simulated points (sets REPRO_ENGINE, so "
-        "worker processes inherit it; results are engine-independent)",
-    )
-    sweep.add_argument(
         "--store", default=None, metavar="DIR",
         help="result store directory (default benchmarks/results/cache, "
         "or $REPRO_RESULT_STORE)",
@@ -296,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore stored results (fresh results are still recorded)",
     )
     report.add_argument(
-        "--engine", dest="report_engine", choices=EXECUTION_ENGINES, default=None,
-        help="execution engine for missing points (sets REPRO_ENGINE; "
-        "figures are engine-independent)",
-    )
-    report.add_argument(
         "--store", default=None, metavar="DIR",
         help="result store directory (default benchmarks/results/cache, "
         "or $REPRO_RESULT_STORE)",
@@ -319,67 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the summary lines",
     )
     _obs_flags(report, quiet=False)
-
-    perf = commands.add_parser(
-        "perf",
-        help="benchmark the simulation hot path and write BENCH_perf.json",
-        description="Time trace generation and end-to-end replay "
-        "(requests/sec per design, with a cold and a warm trace cache), "
-        "compare against the recorded pre-optimisation baseline "
-        "(benchmarks/perf_baseline.json), and write BENCH_perf.json at "
-        "the repo root.  Purely observational: never touches the result "
-        "store or any golden artifact.",
-    )
-    perf.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized run: fewer requests and repeats, footprint+baseline only",
-    )
-    perf.add_argument(
-        "--designs", type=_csv(str), default=None, metavar="A,B,...",
-        help="designs to benchmark (default footprint,page,block,baseline)",
-    )
-    perf.add_argument(
-        "--workload", dest="perf_workload", default="web_search",
-        help="workload profile to replay — built-in or plugin-registered "
-        "(default web_search)",
-    )
-    perf.add_argument(
-        "--plugin", action="append", default=None, metavar="MOD",
-        help="module registering custom designs/workload profiles, loaded "
-        "before validation (repeatable)",
-    )
-    perf.add_argument(
-        "--capacity", dest="perf_capacity", type=int, default=256, metavar="MB",
-        help="nominal cache capacity in MB (default 256)",
-    )
-    perf.add_argument(
-        "--requests", dest="perf_requests", type=int, default=None, metavar="N",
-        help="trace length (default 120000; 30000 with --quick)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=None, metavar="N",
-        help="timing repeats, best-of (default 3; 2 with --quick)",
-    )
-    perf.add_argument(
-        "--seed", dest="perf_seed", type=int, default=0,
-        help="trace seed (default 0)",
-    )
-    perf.add_argument(
-        "--out", dest="perf_out", default=None, metavar="FILE",
-        help="output path (default BENCH_perf.json at the repo root)",
-    )
-    perf.add_argument(
-        "--engine", dest="perf_engine",
-        choices=EXECUTION_ENGINES + ("both",), default=None,
-        help="execution engine to benchmark, or 'both' for a side-by-side "
-        "engine comparison (default interp)",
-    )
-    perf.add_argument(
-        "--history", dest="perf_history", default=None, metavar="FILE",
-        help="append-only run log (default BENCH_history.jsonl at the repo "
-        "root; one JSONL record per engine/design measured)",
-    )
-    _obs_flags(perf, trace=False)
 
     serve = commands.add_parser(
         "serve",
@@ -503,12 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         "loaded before any shard runs (repeatable)",
     )
     worker.add_argument(
-        "--engine", dest="worker_engine", choices=EXECUTION_ENGINES,
-        default=None,
-        help="execution engine for leased points (sets REPRO_ENGINE; "
-        "results are engine-independent)",
-    )
-    worker.add_argument(
         "--quiet", action="store_true",
         help="suppress per-shard progress lines",
     )
@@ -590,7 +508,7 @@ def _run_single(args) -> int:
         page_size=args.page_size,
         **cache_kwargs,
     )
-    result = Simulator(config, engine=args.engine).run()
+    result = Simulator(config).run()
 
     rows = [
         ("miss ratio", percent(result.miss_ratio)),
@@ -609,7 +527,7 @@ def _run_single(args) -> int:
             args.workload, "baseline", args.capacity,
             scale=args.scale, num_requests=args.requests, seed=args.seed,
         )
-        baseline = Simulator(baseline_config, engine=args.engine).run()
+        baseline = Simulator(baseline_config).run()
         rows.append(("improvement over baseline", percent(result.improvement_over(baseline))))
 
     title = (
@@ -686,11 +604,6 @@ def _run_sweep(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     store = ResultStore(args.store)
-    if args.sweep_engine is not None:
-        # Via the environment rather than the point: the engine is
-        # byte-parity-gated (cannot change results), so it is not part
-        # of any experiment key — and worker processes inherit it.
-        os.environ["REPRO_ENGINE"] = args.sweep_engine
 
     def progress(tick) -> None:
         status = "hit" if tick.cached else "run"
@@ -764,9 +677,6 @@ def _run_report(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.report_engine is not None:
-        # Engine-independent by the byte-parity gate; see `sweep --engine`.
-        os.environ["REPRO_ENGINE"] = args.report_engine
 
     from repro.exp.store import default_results_dir
     from repro.reporting import figure_names, get_figure, run_figure, write_artifacts
@@ -845,129 +755,6 @@ def _run_report(args) -> int:
     return 0
 
 
-def _run_perf(args) -> int:
-    # Imported lazily: the bench harness pulls in the simulator stack.
-    from repro.perf.bench import (
-        DEFAULT_DESIGNS,
-        DEFAULT_REPEATS,
-        DEFAULT_REQUESTS,
-        QUICK_REPEATS,
-        QUICK_REQUESTS,
-        append_history,
-        run_bench,
-        write_bench,
-    )
-
-    from repro.workloads.profiles import profile_names
-
-    try:
-        # Plugins first: they may register the profile/designs named below.
-        load_plugins(tuple(args.plugin or ()))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    designs = args.designs
-    if designs is None:
-        designs = ("footprint", "baseline") if args.quick else DEFAULT_DESIGNS
-    unknown = [d for d in designs if d not in design_names()]
-    if unknown:
-        print(
-            f"error: unknown design(s) {', '.join(unknown)}; "
-            f"one of {', '.join(design_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.perf_workload not in profile_names():
-        print(
-            f"error: unknown workload {args.perf_workload!r}; "
-            f"one of {', '.join(profile_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    requests = args.perf_requests
-    if requests is None:
-        requests = QUICK_REQUESTS if args.quick else DEFAULT_REQUESTS
-    repeats = args.repeats
-    if repeats is None:
-        repeats = QUICK_REPEATS if args.quick else DEFAULT_REPEATS
-
-    started = time.perf_counter()
-    try:
-        payload = run_bench(
-            designs=designs,
-            workload=args.perf_workload,
-            capacity_mb=args.perf_capacity,
-            num_requests=requests,
-            seed=args.perf_seed,
-            repeats=repeats,
-            engine=args.perf_engine,
-        )
-    except (RuntimeError, ValueError) as error:
-        # RuntimeError: engine='vector' on a NumPy-free interpreter.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - started
-    path = write_bench(payload, args.perf_out)
-    history_path = append_history(payload, args.perf_history)
-
-    generation = payload["trace_generation"]
-    rows = [
-        (
-            "trace generation",
-            "-",
-            f"{generation['requests_per_second']:,.0f}/s",
-        )
-    ]
-    for design, bench in payload["designs"].items():
-        rows.append(
-            (
-                design,
-                f"{bench['cold_requests_per_second']:,.0f}/s",
-                f"{bench['warm_requests_per_second']:,.0f}/s",
-            )
-        )
-    engine_label = payload["protocol"]["engine"]
-    print(
-        format_table(
-            ("stage", "cold trace cache", "warm trace cache"),
-            rows,
-            title=f"Hot-path throughput ({requests} requests, best of "
-            f"{repeats}, engine {engine_label})",
-        )
-    )
-    comparison = payload.get("engine_comparison")
-    if comparison:
-        comparison_rows = [
-            (
-                design,
-                f"{row['interp_warm_requests_per_second']:,.0f}/s",
-                f"{row['vector_warm_requests_per_second']:,.0f}/s",
-                f"{row['vector_speedup']:.2f}x" if "vector_speedup" in row else "-",
-            )
-            for design, row in comparison.items()
-        ]
-        print()
-        print(
-            format_table(
-                ("design", "interp warm", "vector warm", "vector speedup"),
-                comparison_rows,
-                title="Engine comparison (warm replay)",
-            )
-        )
-    headline = payload.get("headline")
-    if headline and "speedup_vs_pre_pr" in headline:
-        print(
-            f"{headline['design']} warm replay: "
-            f"{headline['warm_requests_per_second']:,.0f} requests/s — "
-            f"{headline['speedup_vs_pre_pr']:.2f}x the pre-optimisation "
-            f"engine ({headline['pre_pr_requests_per_second']:,.0f}/s, "
-            f"{headline['pre_pr_commit']})"
-        )
-    print(f"bench report written to {path} ({elapsed:.1f}s)")
-    print(f"history appended to {history_path}")
-    return 0
-
-
 def _run_serve(args) -> int:
     # Imported lazily: the serve layer pulls in the reporting registry
     # (for figure jobs) which builds every figure's spec on import.
@@ -1026,8 +813,6 @@ def _run_worker(args) -> int:
     from repro.serve.faults import FaultyWorker
     from repro.serve.worker import WorkerKilled, WorkerLoop
 
-    if args.worker_engine is not None:
-        os.environ["REPRO_ENGINE"] = args.worker_engine
     plugins = tuple(args.plugin or ())
     try:
         load_plugins(plugins)
@@ -1185,8 +970,6 @@ def main(argv=None) -> int:
         return _run_sweep(args)
     if args.command == "report":
         return _run_report(args)
-    if args.command == "perf":
-        return _run_perf(args)
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "worker":

@@ -238,10 +238,6 @@ class ExperimentPoint:
         """
         spec = get_design(self.design)
         config = self.config()
-        # config.to_dict() rather than asdict(config): the execution
-        # engine field is excluded by design, so keys stay stable across
-        # engines (the vector engine is byte-parity-gated against the
-        # reference loop — same experiment, same stored bytes).
         payload = config.to_dict()
         for role in ("stacked", "offchip"):
             timing = asdict(getattr(config, f"{role}_timing").resolve(role))

@@ -21,8 +21,11 @@ the per-request replay inner loop:
 
 Instrumentation aggregates from the simulator's existing
 :class:`~repro.perf.stats.StatGroup` counters at point boundaries, so
-stored results stay byte-identical and warm-replay throughput is
-unchanged (the ``check_perf_history.py`` gate proves it).
+stored results stay byte-identical and replay pays nothing per request.
+Each ``point.simulate`` span records which path replayed the point
+(``kernel``: a batch kernel, or the scalar reference loop); the
+repository benchmark (``perfbench/README.md``) turns traces of whole
+runs into per-layer timings.
 """
 
 from repro.obs.log import Logger, configure_logging, get_logger, verbosity

@@ -1,5 +1,9 @@
-"""Statistics plumbing, the analytic performance model, and the bench
-harness behind ``python -m repro perf``."""
+"""Statistics plumbing and the analytic performance model.
+
+Simulator performance itself (wall time of a report, replay time per
+design, kernel share) is measured by the repository benchmark; see
+``perfbench/README.md``.
+"""
 
 from repro.perf.stats import Counter, Histogram, RatioStat, StatGroup, geometric_mean
 from repro.perf.timing_model import PerformanceModel, PerformanceResult
@@ -12,16 +16,4 @@ __all__ = [
     "geometric_mean",
     "PerformanceModel",
     "PerformanceResult",
-    "run_bench",
-    "write_bench",
 ]
-
-
-def __getattr__(name: str):
-    # The bench harness imports the simulator (which imports this
-    # package), so it is loaded lazily (PEP 562) to avoid the cycle.
-    if name in ("run_bench", "write_bench"):
-        from repro.perf import bench
-
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

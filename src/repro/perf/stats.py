@@ -251,16 +251,3 @@ def mean(values: Sequence[float]) -> float:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
 
-
-def confidence_interval_95(values: Sequence[float]) -> Tuple[float, float]:
-    """(mean, half-width) of the normal-approximation 95% CI.
-
-    Mirrors the paper's "95% confidence level, average error below 3%"
-    reporting for sampled simulations (Section 5.4).
-    """
-    if len(values) < 2:
-        raise ValueError("confidence interval needs at least two samples")
-    m = mean(values)
-    variance = sum((v - m) ** 2 for v in values) / (len(values) - 1)
-    half_width = 1.96 * math.sqrt(variance / len(values))
-    return m, half_width

@@ -4,10 +4,9 @@
 lease a shard from the coordinator, reconstruct its
 :class:`~repro.exp.spec.ExperimentPoint` payloads, simulate them through
 any inner :class:`~repro.exp.backends.SweepBackend` (serial by default,
-``--jobs N`` for a process pool, ``--engine vector`` via the usual env
-gate), stream each result back as it completes, then mark the shard
-complete so the coordinator folds it.  Repeat until told to stop or
-idle past ``--max-idle``.
+``--jobs N`` for a process pool), stream each result back as it
+completes, then mark the shard complete so the coordinator folds it.
+Repeat until told to stop or idle past ``--max-idle``.
 
 Failure handling is deliberately simple because the coordinator owns
 correctness: on any transport error or a stale-lease reply the worker

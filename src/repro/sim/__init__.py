@@ -7,7 +7,6 @@ from repro.sim.config import (
     TimingConfig,
     make_system_config,
 )
-from repro.sim.sampling import SamplingResult, SmartsSampler
 from repro.sim.simulator import SimulationResult, Simulator, quick_run
 from repro.sim.system import System, build_system
 
@@ -17,8 +16,6 @@ __all__ = [
     "SystemConfig",
     "TimingConfig",
     "make_system_config",
-    "SamplingResult",
-    "SmartsSampler",
     "SimulationResult",
     "Simulator",
     "quick_run",

@@ -35,17 +35,6 @@ from repro.dram.timing import DramTiming, timing_preset
 
 MB = 1024 * 1024
 
-EXECUTION_ENGINES = ("interp", "vector")
-"""Replay engines: the scalar reference loop and the NumPy batch kernel.
-
-``"interp"`` is the de-virtualised per-request loop
-(:meth:`repro.sim.simulator.Simulator._run_interp`) and the semantic
-reference.  ``"vector"`` replays trace segments through the
-:mod:`repro.vector` batch kernels; it is byte-parity-gated against the
-reference (same stored result, same statistics) and silently falls back
-to the scalar loop for designs without a kernel.
-"""
-
 
 def __getattr__(name: str):
     # DESIGNS is a live view of the design registry (PEP 562): custom
@@ -219,12 +208,6 @@ class SimulationConfig:
     warmup_fraction: float = 0.5
     seed: int = 0
     dataset_scale: float = 1.0
-    # Replay engine selection.  ``compare=False`` keeps equality, hashing
-    # and the serialised form (:meth:`to_dict` pops it) engine-agnostic:
-    # the engine changes how the experiment is executed, never what it
-    # denotes, so result-store keys are identical across engines — that
-    # is the byte-parity contract.
-    engine: str = field(default="interp", compare=False)
 
     def __post_init__(self) -> None:
         if self.num_requests <= 0:
@@ -233,10 +216,6 @@ class SimulationConfig:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.dataset_scale <= 0:
             raise ValueError("dataset_scale must be positive")
-        if self.engine not in EXECUTION_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; one of {EXECUTION_ENGINES}"
-            )
 
     @property
     def warmup_requests(self) -> int:
@@ -244,15 +223,8 @@ class SimulationConfig:
         return int(self.num_requests * self.warmup_fraction)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form; :meth:`from_dict` round-trips exactly.
-
-        The ``engine`` field is omitted: it selects an execution strategy
-        with byte-identical results, so it must not perturb experiment
-        hashes or stored specs (``from_dict`` still accepts it).
-        """
-        payload = asdict(self)
-        del payload["engine"]
-        return payload
+        """JSON-serialisable form; :meth:`from_dict` round-trips exactly."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationConfig":

@@ -16,7 +16,7 @@ from repro.caches.base import DramCache
 from repro.core.footprint_cache import FootprintCache
 from repro.mem.request import BLOCK_SIZE, MemoryRequest
 from repro.perf.timing_model import PerformanceModel, PerformanceResult
-from repro.sim.config import EXECUTION_ENGINES, SimulationConfig
+from repro.sim.config import SimulationConfig
 from repro.sim.system import System, build_system
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import max_cached_requests, shared_trace_cache
@@ -114,29 +114,47 @@ class Simulator:
         self,
         config: SimulationConfig,
         system: Optional[System] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.config = config
-        # The engine argument overrides the config's; both select *how*
-        # the replay executes, never what it computes — the vector engine
-        # is byte-parity-gated against the scalar loop.
-        self.engine = engine or config.engine
-        if self.engine not in EXECUTION_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; one of {EXECUTION_ENGINES}"
-            )
         # A system the simulator built itself has a pristine workload
         # generator, so replays can be served from the shared trace cache
         # with exact continuation semantics; an externally built system
         # may have been consumed already and keeps the generator path.
         self._private_system = system is None
         self._stream_position = 0
+        # Whether a batch kernel replayed the last run() (False: the
+        # scalar reference loop did).
+        self.used_kernel = False
         self.system = system or build_system(config)
         self.perf = PerformanceModel(
             num_cores=config.system.num_cores,
             base_cpi=config.system.base_cpi,
             exposed_latency_fraction=config.system.exposed_latency_fraction,
         )
+
+    def _claim_cached_segment(self, count: int) -> Optional[int]:
+        """Claim the next ``count`` requests from the shared trace cache.
+
+        Returns the segment's start in the deterministic request stream
+        and advances the stream position past it, or returns None when
+        this run must stream from the system's own generator instead:
+        externally built systems, non-synthetic workloads, a disabled
+        cache (``REPRO_TRACE_CACHE=0`` means *streaming*: materialising
+        per run would cost more than caching), and paper-sized traces
+        (materialising them would pin hundreds of MB).  The choice is
+        sticky per simulator: once a run was served from the cache,
+        continuations must come from the same stream.
+        """
+        if (
+            self._private_system
+            and isinstance(self.system.workload, SyntheticWorkload)
+            and shared_trace_cache().max_entries > 0
+            and (self._stream_position > 0 or count <= max_cached_requests())
+        ):
+            start = self._stream_position
+            self._stream_position = start + count
+            return start
+        return None
 
     def _stream(self, count: int) -> Iterable[MemoryRequest]:
         """The next ``count`` workload requests, via the shared trace cache.
@@ -145,54 +163,41 @@ class Simulator:
         deterministic request stream — value-identical to what the
         system's own generator would produce — so one materialised trace
         is shared by every design (and every simulator) replaying the
-        same (profile, seed, page size).  Falls back to the live
-        generator for externally built systems or non-synthetic
-        workloads.
+        same (profile, seed, page size).
         """
         workload = self.system.workload
-        cache = shared_trace_cache()
-        if (
-            self._private_system
-            and isinstance(workload, SyntheticWorkload)
-            # A disabled cache (REPRO_TRACE_CACHE=0) means *streaming*:
-            # materialising per run would cost more than caching.
-            and cache.max_entries > 0
-            # Paper-sized traces stay on the streaming generator
-            # (materialising them would pin hundreds of MB); the choice
-            # is sticky per simulator — once a run was served from the
-            # cache, continuations must come from the same stream.
-            and (self._stream_position > 0 or count <= max_cached_requests())
-        ):
-            start = self._stream_position
-            self._stream_position = start + count
-            return cache.requests(
-                workload.profile,
-                self.config.seed,
-                workload.page_size,
-                count,
-                start=start,
-                block_size=workload.block_size,
-            )
-        return workload.requests(count)
+        start = self._claim_cached_segment(count)
+        if start is None:
+            return workload.requests(count)
+        return shared_trace_cache().requests(
+            workload.profile,
+            self.config.seed,
+            workload.page_size,
+            count,
+            start=start,
+            block_size=workload.block_size,
+        )
 
     def run(self, trace: Optional[Sequence[MemoryRequest]] = None) -> SimulationResult:
         """Replay the workload (or an explicit ``trace``) and summarise.
 
         With an explicit trace, ``config.num_requests`` still bounds how
         many requests are consumed and the warm-up split applies the same
-        way.  ``engine="vector"`` dispatches to the NumPy batch kernels
-        (:mod:`repro.vector`); designs or configurations without a kernel
-        fall back to the scalar loop, so the result is identical either
-        way.
+        way.  The design and configuration pick the replay path: a NumPy
+        batch kernel where :func:`repro.vector.kernels.build_kernel` has
+        one, the scalar reference loop otherwise.  The result is
+        identical either way (the byte-parity gate).
         """
-        if self.engine == "vector":
-            from repro.vector import run_vector
+        # Imported at the first replay, not with this module: building
+        # configs, systems and stores never needs the kernels.
+        from repro.vector.engine import replay
 
-            return run_vector(self, trace)
-        return self._run_interp(trace)
+        return replay(self, trace)
 
-    def _run_interp(self, trace: Optional[Sequence[MemoryRequest]] = None) -> SimulationResult:
-        """The scalar reference loop (``engine="interp"``)."""
+    def _run_reference(
+        self, trace: Optional[Sequence[MemoryRequest]] = None
+    ) -> SimulationResult:
+        """The scalar reference loop: one request object at a time."""
         # Requests enter at the system's frontend: the DRAM cache itself,
         # or the extra-L2 slice in front of it (Section 6.3).  Statistics
         # are summarised at the DRAM cache level either way.
@@ -297,7 +302,6 @@ def quick_run(
     scale: int = 256,
     num_requests: int = 60_000,
     seed: int = 0,
-    engine: Optional[str] = None,
     **cache_kwargs,
 ) -> SimulationResult:
     """One-call experiment: build, run, summarise.
@@ -315,4 +319,4 @@ def quick_run(
         seed=seed,
         **cache_kwargs,
     )
-    return Simulator(config, engine=engine).run()
+    return Simulator(config).run()

@@ -1,43 +1,14 @@
-"""Vectorized batch replay engine (``engine="vector"``).
+"""Vectorized batch replay: the path every ``Simulator.run()`` takes.
 
-The scalar loop in :meth:`repro.sim.simulator.Simulator._run_interp` is
-the semantic reference; this package replays the same trace in segments,
+:func:`repro.vector.engine.replay` replays the trace in segments,
 precomputing everything that does not depend on simulation order with
 NumPy (address decomposition, hit/miss classification, bank/row mapping)
 and driving one tight Python loop per segment over the precomputed
 columns.  Requests whose outcome depends on cache state transitions
 (misses, underpredictions) drop to the *scalar reference code itself*,
 so every stat, every energy float and every byte of a stored result is
-identical between engines — the byte-parity gate.
-
-NumPy is required only here: ``engine="interp"`` never imports this
-package, so the default path works on a NumPy-free interpreter.
+identical to the reference loop
+(:meth:`repro.sim.simulator.Simulator._run_reference`) — the byte-parity
+gate.  Designs and configurations without a kernel replay through that
+reference loop directly.
 """
-
-from __future__ import annotations
-
-try:
-    import numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    HAS_NUMPY = False
-
-
-def run_vector(sim, trace=None):
-    """Replay ``sim`` with the batch kernels (entry point for Simulator).
-
-    Raises ``RuntimeError`` when NumPy is unavailable rather than
-    silently falling back: the user asked for the vector engine by name,
-    and a silent 10x slowdown is worse than a clear error.  Designs
-    without a kernel *do* fall back silently — that is a property of the
-    design, not the environment, and the result is identical.
-    """
-    if not HAS_NUMPY:
-        raise RuntimeError(
-            "engine='vector' requires NumPy, which is not installed; "
-            "install numpy or use the default engine='interp'"
-        )
-    from repro.vector.engine import replay
-
-    return replay(sim, trace)

@@ -1,10 +1,13 @@
-"""Zero-copy NumPy views over :class:`repro.workloads.trace.Trace` columns.
+"""NumPy columns of one :class:`repro.workloads.trace.Trace` segment.
 
 A :class:`Trace` already stores the five request fields as parallel
-``array`` columns; ``np.frombuffer`` exposes a segment of each column as
-a NumPy view without copying.  Views pin the underlying buffers (an
-``array`` cannot grow while exported), so the engine creates them one
-segment at a time and drops them before the trace can be extended again.
+``array`` columns.  A segment is a private copy of each column's slice
+(``array`` slicing copies without exporting a buffer) wrapped by
+``np.frombuffer``.  Views straight into the trace would pin its buffers
+for the whole segment replay, and the trace behind a replay is often the
+shared cache's live entry: any other replay of the same stream that
+needs it longer would then fail to grow it (``BufferError``).  The copy
+is about 1.7 MB per 64Ki-request segment, small next to the kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ _DTYPES = {"q": np.int64, "b": np.int8, "h": np.int16}
 
 
 class TraceColumns:
-    """One trace segment as five parallel NumPy arrays (read-only views)."""
+    """One trace segment as five parallel NumPy arrays."""
 
     __slots__ = ("addresses", "pcs", "writes", "core_ids", "instruction_counts")
 
@@ -31,22 +34,20 @@ class TraceColumns:
         return len(self.addresses)
 
 
-def _view(column, start: int, stop: int):
+def _column(column, start: int, stop: int):
     dtype = _DTYPES[column.typecode]
-    count = stop - start
-    if count <= 0:
-        # No buffer export for empty segments (nothing to pin).
+    if stop <= start:
         return np.empty(0, dtype=dtype)
-    return np.frombuffer(column, dtype=dtype, count=count, offset=start * column.itemsize)
+    return np.frombuffer(column[start:stop], dtype=dtype)
 
 
 def trace_segment(trace, start: int, stop: int) -> TraceColumns:
-    """Columns of ``trace[start:stop)`` as zero-copy views."""
+    """Columns of ``trace[start:stop)``, copied out of the trace."""
     stop = min(stop, len(trace.addresses))
     return TraceColumns(
-        _view(trace.addresses, start, stop),
-        _view(trace.pcs, start, stop),
-        _view(trace.writes, start, stop),
-        _view(trace.core_ids, start, stop),
-        _view(trace.instruction_counts, start, stop),
+        _column(trace.addresses, start, stop),
+        _column(trace.pcs, start, stop),
+        _column(trace.writes, start, stop),
+        _column(trace.core_ids, start, stop),
+        _column(trace.instruction_counts, start, stop),
     )

@@ -1,25 +1,26 @@
-"""Segmented replay driver for ``engine="vector"``.
+"""Segmented replay driver: the one path every ``Simulator.run()`` takes.
 
-:func:`replay` mirrors :meth:`Simulator._run_interp` exactly — same
-request stream, same warm-up boundary semantics, same summary — but
-feeds the trace to a per-design batch kernel one segment at a time
-instead of one request object at a time.  Segments are columnar NumPy
-views (:mod:`repro.vector.columns`); request *objects* are only built
-for the scalar fallback inside the kernels.
+:func:`replay` asks :func:`~repro.vector.kernels.build_kernel` for a
+batch kernel.  With one, it mirrors :meth:`Simulator._run_reference`
+exactly — same request stream, same warm-up boundary semantics, same
+summary — but feeds the trace to the kernel one segment at a time
+instead of one request object at a time.  Without one, the scalar
+reference loop replays the run.  Segments are columnar NumPy copies
+(:mod:`repro.vector.columns`); request *objects* are only built for the
+scalar fallback inside the kernels.
 
 Stream parity notes:
 
-* The shared-trace-cache gate replicates ``Simulator._stream``'s
-  condition bit for bit, and ``_stream_position`` advances by the full
-  request budget up front, exactly as the reference's single ``_stream``
-  call does.
+* Both paths claim their share of the shared trace cache through
+  ``Simulator._claim_cached_segment``, which advances the stream
+  position by the full request budget up front.
 * Generator workloads are drained through one ``islice`` per segment,
   which leaves the generator suspended at its last yield — the same
   state the reference's ``break`` leaves it in — so a continuation run
   on the same system resumes identically.
-* Segment views pin the columnar buffers of a cached trace, so each
-  segment's views are dropped before the next one is requested (an
-  ``array`` cannot grow while a view is exported).
+* Segments copy out of the shared cache's live trace and pin none of
+  its buffers, so concurrent replays of one stream (``repro serve``
+  runs jobs on threads) can each grow it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from itertools import islice
 from repro.obs.metrics import registry
 from repro.vector.columns import trace_segment
 from repro.vector.kernels import build_kernel
-from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.trace import Trace, max_cached_requests, shared_trace_cache
+from repro.workloads.trace import Trace, shared_trace_cache
 
 # Requests per segment.  Large enough to amortise the NumPy precompute,
 # small enough that the per-segment lists stay cache-friendly; tests
@@ -67,57 +67,50 @@ def _segment_source(sim, trace):
         return _iterator_source(iter(trace))
 
     workload = sim.system.workload
+    start = sim._claim_cached_segment(limit)
+    if start is None:
+        return _iterator_source(workload.requests(limit))
     cache = shared_trace_cache()
-    # Byte-for-byte the gate in Simulator._stream: private system,
-    # synthetic workload, cache enabled, and either a continuation of a
-    # cached stream or a run short enough to materialise.
-    if (
-        sim._private_system
-        and isinstance(workload, SyntheticWorkload)
-        and cache.max_entries > 0
-        and (sim._stream_position > 0 or limit <= max_cached_requests())
-    ):
-        start = sim._stream_position
-        sim._stream_position = start + limit
-        end = start + limit
-        cursor = start
-        profile = workload.profile
-        seed = sim.config.seed
-        page_size = workload.page_size
-        block_size = workload.block_size
+    end = start + limit
+    cursor = start
+    profile = workload.profile
+    seed = sim.config.seed
+    page_size = workload.page_size
+    block_size = workload.block_size
 
-        def take(n):
-            nonlocal cursor
-            stop = min(cursor + n, end)
-            materialised = cache.columnar(
-                profile,
-                seed,
-                page_size,
-                stop - cursor,
-                start=cursor,
-                block_size=block_size,
-            )
-            cols = trace_segment(materialised, cursor, stop)
-            cursor += len(cols)
-            return cols
+    def take(n):
+        nonlocal cursor
+        stop = min(cursor + n, end)
+        materialised = cache.columnar(
+            profile,
+            seed,
+            page_size,
+            stop - cursor,
+            start=cursor,
+            block_size=block_size,
+        )
+        cols = trace_segment(materialised, cursor, stop)
+        cursor += len(cols)
+        return cols
 
-        return take
-    return _iterator_source(workload.requests(limit))
+    return take
 
 
 def replay(sim, trace=None):
-    """Run ``sim`` to completion with batch kernels; scalar fallback if none.
+    """Run ``sim`` to completion: batch kernel if the design has one.
 
-    Structured exactly like ``Simulator._run_interp``: reset, optional
-    warm-up phase ending in a stats reset *before* the first measured
-    request, replay until the request budget or the end of the trace,
-    then summarise the measured window.
+    Sets ``sim.used_kernel``.  The kernel path is structured exactly
+    like ``Simulator._run_reference``: reset, optional warm-up phase
+    ending in a stats reset *before* the first measured request, replay
+    until the request budget or the end of the trace, then summarise
+    the measured window.
     """
     kernel = build_kernel(sim)
+    sim.used_kernel = kernel is not None
     if kernel is None:
         # No kernel for this design/configuration: the scalar loop is
         # the reference, so the result is identical by construction.
-        return sim._run_interp(trace)
+        return sim._run_reference(trace)
 
     take = _segment_source(sim, trace)
     perf = sim.perf
@@ -151,9 +144,6 @@ def replay(sim, trace=None):
             measuring = True
         instructions += kernel.run_segment(cols)
         processed += got
-        # Drop the segment's buffer views before the next take(): a
-        # cached trace cannot be extended while views are exported.
-        cols = None
         if got < n:
             break
     perf._instructions += instructions
@@ -162,8 +152,7 @@ def replay(sim, trace=None):
     # Point-boundary accounting only: one registry touch per replay,
     # never per request or per segment.
     registry().counter(
-        "repro_engine_requests_total",
-        "requests replayed, by execution engine",
-        engine="vector",
+        "repro_kernel_requests_total",
+        "requests replayed by a batch kernel",
     ).inc(processed)
     return sim._summarise(measured)

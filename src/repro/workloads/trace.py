@@ -374,11 +374,13 @@ class TraceCache:
 
         Same keying, hit/miss accounting, extension and eviction budget as
         :meth:`requests`, but without materialising request *objects*: the
-        vector engine reads the columns directly (zero-copy NumPy views),
-        so serving it must not pay the ~250B/request object cost.  The
-        returned :class:`Trace` is the live cache entry's — callers must
-        treat it as read-only and drop any buffer views before the entry
-        is extended again (NumPy views pin ``array`` buffers).
+        batch kernels read the columns directly, so serving it must not
+        pay the ~250B/request object cost.  The returned :class:`Trace`
+        is the live cache entry's, which other threads may extend at any
+        time: callers must treat it as read-only and must not hold a
+        buffer export of its columns (a memoryview or ``np.frombuffer``
+        view) beyond the call that takes it, since an ``array`` cannot
+        grow while one exists.  Copy slices instead (``column[a:b]``).
         """
         if num_requests < 0 or start < 0:
             raise ValueError("start and num_requests must be non-negative")

@@ -314,7 +314,8 @@ class TestCli:
     def test_trace_flag_emits_valid_spans(self, tmp_path, capsys, clean_obs):
         trace_path = str(tmp_path / "cli.ndjson")
         assert main([
-            "sweep", "--workloads", "web_search", "--designs", "page",
+            "sweep", "--workloads", "web_search",
+            "--designs", "page,footprint,block",
             "--capacities", "64", "--requests", "2000",
             "--store", str(tmp_path / "store"), "--trace", trace_path,
         ]) == 0
@@ -325,6 +326,12 @@ class TestCli:
             assert validate_span(record, schema) == []
         names = {r["name"] for r in records}
         assert {"sweep.run", "sweep.point", "point.simulate"} <= names
+        # Each simulated point says which path replayed it.
+        kernel = {
+            r["attrs"]["design"]: r["attrs"]["kernel"]
+            for r in records if r["name"] == "point.simulate"
+        }
+        assert kernel == {"page": True, "footprint": True, "block": False}
         capsys.readouterr()
 
         assert main(["obs", "summarize", trace_path]) == 0
@@ -336,7 +343,7 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["invalid"] == 0
         assert summary["orphans"] == 0
-        assert summary["points"]["simulated"] == 1
+        assert summary["points"]["simulated"] == 3
 
     def test_summarize_missing_file(self, capsys):
         assert main(["obs", "summarize", "/nonexistent/trace.ndjson"]) == 2

@@ -10,7 +10,6 @@ from repro.perf.stats import (
     Histogram,
     RatioStat,
     StatGroup,
-    confidence_interval_95,
     geometric_mean,
     mean,
 )
@@ -216,21 +215,6 @@ class TestAggregates:
     def test_mean_empty_raises(self):
         with pytest.raises(ValueError):
             mean([])
-
-    def test_confidence_interval_covers_mean(self):
-        values = [10.0, 11.0, 9.0, 10.5, 9.5]
-        center, half = confidence_interval_95(values)
-        assert center == pytest.approx(10.0)
-        assert half > 0
-
-    def test_confidence_interval_needs_two(self):
-        with pytest.raises(ValueError):
-            confidence_interval_95([1.0])
-
-    def test_confidence_zero_variance(self):
-        center, half = confidence_interval_95([5.0, 5.0, 5.0])
-        assert center == 5.0
-        assert half == 0.0
 
     @given(st.lists(st.floats(min_value=0.1, max_value=100), min_size=1, max_size=20))
     def test_geometric_mean_bounded_by_min_max(self, values):

@@ -1,32 +1,32 @@
-"""Byte-parity gate for ``engine="vector"``.
+"""Byte-parity gate for the replay path.
 
-The vector engine's contract is absolute: it may not change a single
-stored byte.  These tests enforce it the strong way — full
-``SimulationResult.to_dict()`` and ``StatGroup.as_dict()`` equality plus
-deep post-run state comparison (controller counters and energies, bank
-row/busy state, tag contents *and LRU orders*, predictor tables) for
-every registered design, across workload profiles and seeds, including
-randomized traces.  Plus the edge cases that historically break
-segmented replay: empty segments, single requests, warm-up boundaries
-landing exactly on segment edges, and continuation runs.
+``Simulator.run()`` replays through a NumPy batch kernel where the
+design has one and through the scalar reference loop otherwise; the
+kernel path may not change a single stored byte.  These tests enforce
+it the strong way — full ``SimulationResult.to_dict()`` and
+``StatGroup.as_dict()`` equality plus deep post-run state comparison
+(controller counters and energies, bank row/busy state, tag contents
+*and LRU orders*, predictor tables) between ``run()`` and the reference
+loop called directly, for every registered design, across workload
+profiles and seeds, including randomized traces.  Plus the edge cases
+that historically break segmented replay: empty segments, single
+requests, warm-up boundaries landing exactly on segment edges, and
+continuation runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import os
-import subprocess
-import sys
+import threading
 
 import pytest
 
 from repro.caches.registry import design_names
-from repro.mem.request import AccessType, MemoryRequest
+from repro.exp.spec import ExperimentPoint
+from repro.mem.request import MemoryRequest
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
-from repro.vector import HAS_NUMPY
 import repro.vector.engine as vector_engine
+from repro.workloads.trace import shared_trace_cache
 
 
 def small_config(profile="web_search", design="footprint", seed=0, requests=12_000):
@@ -106,27 +106,25 @@ def state_snapshot(sim):
 
 
 def run_both(config, trace=None):
-    """(interp result+state, vector result+state) for one config."""
-    outcomes = []
-    for engine in ("interp", "vector"):
-        sim = Simulator(config, engine=engine)
-        result = sim.run(trace=trace)
-        outcomes.append((result.to_dict(), state_snapshot(sim)))
-    return outcomes
+    """(reference result+state, run() result+state) for one config."""
+    reference = Simulator(config)
+    reference_result = reference._run_reference(trace)
+    default = Simulator(config)
+    default_result = default.run(trace=trace)
+    return [
+        (reference_result.to_dict(), state_snapshot(reference)),
+        (default_result.to_dict(), state_snapshot(default)),
+    ]
 
 
 def assert_parity(config, trace=None):
-    (interp_result, interp_state), (vector_result, vector_state) = run_both(
+    (reference_result, reference_state), (result, state) = run_both(
         config, trace=trace
     )
-    assert interp_result == vector_result
-    assert interp_state == vector_state
+    assert result == reference_result
+    assert state == reference_state
 
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")
-
-
-@needs_numpy
 class TestEquivalenceEveryDesign:
     """The gate itself: every design, multiple profiles and seeds."""
 
@@ -143,8 +141,30 @@ class TestEquivalenceEveryDesign:
     def test_randomized_seeds_other_kernels(self, design):
         assert_parity(small_config(design=design, seed=3))
 
+    @pytest.mark.parametrize("design", ("footprint", "page", "baseline"))
+    @pytest.mark.parametrize("workload", ("web_search", "data_serving"))
+    def test_sweep_point_parity(self, workload, design):
+        # The points of a 64 MB, 6,000-request sweep over the designs
+        # with a kernel, configured exactly as `repro sweep` builds them.
+        point = ExperimentPoint(
+            workload=workload, design=design, capacity_mb=64, num_requests=6_000
+        )
+        assert_parity(point.config())
 
-@needs_numpy
+
+class TestDispatch:
+    """Which path replays a default configuration is pinned per design."""
+
+    KERNEL_DESIGNS = ("footprint", "page", "baseline")
+    REFERENCE_DESIGNS = ("ideal", "block", "subblock", "chop")
+
+    @pytest.mark.parametrize("design", KERNEL_DESIGNS + REFERENCE_DESIGNS)
+    def test_default_configuration_dispatch(self, design):
+        simulator = Simulator(small_config(design=design, requests=2_000))
+        simulator.run()
+        assert simulator.used_kernel == (design in self.KERNEL_DESIGNS)
+
+
 class TestSegmentEdges:
     def test_empty_trace(self):
         assert_parity(small_config(), trace=[])
@@ -167,7 +187,7 @@ class TestSegmentEdges:
 
     def test_trace_ends_at_warmup_boundary(self):
         # A trace exactly as long as the warm-up: zero measured requests
-        # in the reference; the vector engine must agree.
+        # in the reference; the kernel path must agree.
         config = small_config(requests=2_000)
         trace = [
             MemoryRequest(address=(i % 64) * 2048, pc=0x400, core_id=i % 16)
@@ -176,179 +196,91 @@ class TestSegmentEdges:
         assert_parity(config, trace=trace)
 
     def test_continuation_run_parity(self):
-        # Two back-to-back run() calls on one Simulator continue the
-        # same request stream; the second run must match per engine.
-        results = {}
-        for engine in ("interp", "vector"):
-            sim = Simulator(small_config(requests=6_000), engine=engine)
-            sim.run()
-            results[engine] = sim.run().to_dict()
-        assert results["interp"] == results["vector"]
+        # Two back-to-back replays on one Simulator continue the same
+        # request stream; the second run must match the reference's.
+        config = small_config(requests=6_000)
+        reference = Simulator(config)
+        reference._run_reference()
+        expected = reference._run_reference().to_dict()
+        simulator = Simulator(config)
+        simulator.run()
+        assert simulator.run().to_dict() == expected
+        assert state_snapshot(simulator) == state_snapshot(reference)
 
     def test_trace_can_grow_after_vector_run(self):
-        # Segment views pin the trace's columnar buffers; the engine
-        # must drop them so the shared cache can keep materialising.
+        # A finished kernel replay leaves the cached trace growable.
         config = small_config(requests=4_000)
-        sim = Simulator(config, engine="vector")
+        sim = Simulator(config)
         sim.run()
         sim.run()  # continuation extends the cached trace in place
 
 
-class TestEngineSelection:
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            Simulator(small_config(), engine="warp")
-        with pytest.raises(ValueError, match="unknown engine"):
-            dataclasses.replace(small_config(), engine="warp")
-
-    def test_engine_excluded_from_config_identity(self):
-        interp = small_config()
-        vector = dataclasses.replace(interp, engine="vector")
-        assert interp == vector
-        assert hash(interp) == hash(vector)
-        assert "engine" not in interp.to_dict()
-        assert "engine" not in vector.to_dict()
-
-    def test_runner_honours_repro_engine(self, monkeypatch):
-        from repro.exp import runner as runner_module
-        from repro.exp.spec import ExperimentPoint
-
-        seen = {}
-        real = runner_module.Simulator
-
-        def recording(config, engine=None):
-            seen["engine"] = engine
-            return real(config, engine=engine)
-
-        monkeypatch.setattr(runner_module, "Simulator", recording)
-        point = ExperimentPoint(
-            workload="web_search", design="baseline", capacity_mb=256,
-            num_requests=500, scale=256,
-        )
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        runner_module.run_point(point)
-        assert seen["engine"] is None
-        if HAS_NUMPY:
-            monkeypatch.setenv("REPRO_ENGINE", "vector")
-            runner_module.run_point(point)
-            assert seen["engine"] == "vector"
+def reference_result(config):
+    return Simulator(config)._run_reference().to_dict()
 
 
-class TestWithoutNumpy:
-    """The default engine must work on a NumPy-free interpreter."""
+class _InterleavedKernel:
+    """A kernel that runs ``interleave()`` once, inside its first segment."""
 
-    BLOCKER = (
-        "import sys\n"
-        "class _Block:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'numpy' or name.startswith('numpy.'):\n"
-        "            raise ImportError('numpy blocked for test')\n"
-        "        return None\n"
-        "sys.meta_path.insert(0, _Block())\n"
-        "for mod in list(sys.modules):\n"
-        "    if mod == 'numpy' or mod.startswith('numpy.'):\n"
-        "        del sys.modules[mod]\n"
-    )
+    def __init__(self, kernel, interleave) -> None:
+        self._kernel = kernel
+        self._interleave = interleave
 
-    def _run(self, body):
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src")
-        return subprocess.run(
-            [sys.executable, "-c", self.BLOCKER + body],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-
-    def test_interp_engine_runs_without_numpy(self):
-        proc = self._run(
-            "from repro.sim.simulator import quick_run\n"
-            "result = quick_run('web_search', design='footprint',"
-            " num_requests=2000)\n"
-            "print(result.miss_ratio >= 0)\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "True" in proc.stdout
-
-    def test_vector_engine_raises_without_numpy(self):
-        proc = self._run(
-            "from repro.sim.simulator import quick_run\n"
-            "try:\n"
-            "    quick_run('web_search', num_requests=2000, engine='vector')\n"
-            "except RuntimeError as error:\n"
-            "    print('RAISED', error)\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "RAISED" in proc.stdout
-        assert "requires NumPy" in proc.stdout
+    def run_segment(self, cols):
+        if self._interleave is not None:
+            interleave, self._interleave = self._interleave, None
+            interleave()
+        return self._kernel.run_segment(cols)
 
 
-@needs_numpy
-class TestZipfFallbackParity:
-    """The pure-Python CDF must match the NumPy one to pow's rounding."""
+class TestConcurrentReplay:
+    """Replays of one cached stream in one process (``repro serve`` jobs).
 
-    @pytest.mark.parametrize("alpha", (0.0, 0.6, 0.99, 1.2))
-    def test_cdf_matches_numpy(self, monkeypatch, alpha):
-        from repro.workloads import synthetic
+    While a kernel replays a segment, another replay of the same stream
+    may need the shared cache's trace longer; growing it must not fail.
+    """
 
-        numpy_cdf = synthetic._ZipfSampler._build_cdf(1000, alpha)
-        monkeypatch.setattr(synthetic, "np", None)
-        python_cdf = synthetic._ZipfSampler._build_cdf(1000, alpha)
-        # NumPy's vectorised pow and libm's may round differently in the
-        # last ulp; anything beyond that is a real divergence.
-        assert [float(v) for v in numpy_cdf] == pytest.approx(
-            python_cdf, rel=1e-13
-        )
-        assert python_cdf[-1] == 1.0 or python_cdf[-1] == pytest.approx(1.0)
+    def test_longer_replay_inside_a_segment(self, monkeypatch):
+        shared_trace_cache().clear()
+        monkeypatch.setattr(vector_engine, "SEGMENT_REQUESTS", 500)
+        short = small_config(seed=11, requests=2_000)
+        longer = small_config(seed=11, requests=6_000)
+        results = {}
 
-    def test_sample_agrees(self, monkeypatch):
-        from repro.workloads import synthetic
+        def run_longer():
+            results["longer"] = Simulator(longer).run().to_dict()
 
-        synthetic._ZipfSampler._cache.clear()
-        with_numpy = synthetic._ZipfSampler(257, 0.8)
-        draws = [i / 97.0 % 1.0 for i in range(97)]
-        numpy_samples = [with_numpy.sample(u) for u in draws]
-        monkeypatch.setattr(synthetic, "np", None)
-        synthetic._ZipfSampler._cache.clear()
-        without = synthetic._ZipfSampler(257, 0.8)
-        assert [without.sample(u) for u in draws] == numpy_samples
-        synthetic._ZipfSampler._cache.clear()
+        build_kernel = vector_engine.build_kernel
 
+        def interleaving_build_kernel(sim):
+            kernel = build_kernel(sim)
+            if sim.config.num_requests == short.num_requests:
+                kernel = _InterleavedKernel(kernel, run_longer)
+            return kernel
 
-class TestPerfHistory:
-    def test_append_history_records(self, tmp_path):
-        from repro.perf.bench import HISTORY_SCHEMA, append_history
-
-        payload = {
-            "protocol": {
-                "workload": "web_search", "capacity_mb": 256,
-                "num_requests": 1000, "seed": 0, "repeats": 1,
-                "engine": "both",
-            },
-            "environment": {"commit": "abc123", "cpu": "TestCPU", "python": "3"},
-            "designs": {
-                "footprint": {
-                    "engine": "vector",
-                    "warm_requests_per_second": 500000.0,
-                    "cold_requests_per_second": 250000.0,
-                },
-            },
-            "engine_comparison": {
-                "footprint": {
-                    "interp_warm_requests_per_second": 150000.0,
-                    "vector_warm_requests_per_second": 500000.0,
-                    "vector_speedup": 3.33,
-                },
-            },
+        monkeypatch.setattr(vector_engine, "build_kernel", interleaving_build_kernel)
+        results["short"] = Simulator(short).run().to_dict()
+        assert results == {
+            "short": reference_result(short),
+            "longer": reference_result(longer),
         }
-        path = tmp_path / "history.jsonl"
-        append_history(payload, str(path))
-        append_history(payload, str(path))  # append-only: grows, never rewrites
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(records) == 4
-        assert all(r["schema"] == HISTORY_SCHEMA for r in records)
-        engines = {(r["engine"], r["design"]) for r in records}
-        assert engines == {("vector", "footprint"), ("interp", "footprint")}
-        vector = next(r for r in records if r["engine"] == "vector")
-        assert vector["commit"] == "abc123"
-        assert vector["cpu"] == "TestCPU"
-        assert vector["warm_requests_per_second"] == 500000.0
+
+    def test_threads_replay_one_stream(self, monkeypatch):
+        shared_trace_cache().clear()
+        monkeypatch.setattr(vector_engine, "SEGMENT_REQUESTS", 512)
+        configs = [small_config(seed=13, requests=n) for n in (4_000, 8_000)]
+        results, errors = {}, []
+
+        def run(config):
+            try:
+                results[config.num_requests] = Simulator(config).run().to_dict()
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(c,)) for c in configs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert results == {c.num_requests: reference_result(c) for c in configs}

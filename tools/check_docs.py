@@ -258,7 +258,7 @@ def main() -> int:
             f"{', '.join(DOC_FILES)}"
         )
     # Coverage in the other direction: every live subcommand (sweep,
-    # report, perf, store, ...) must be demonstrated in at least one doc
+    # report, store, ...) must be demonstrated in at least one doc
     # fence, so new CLI surface cannot land undocumented.
     missing = set(_subparsers(parser)) - documented_subcommands(all_commands)
     for name in sorted(missing):
