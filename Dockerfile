@@ -22,15 +22,15 @@ WORKDIR /app
 # running service reads: the warm store and the example specs.
 COPY setup.py README.md ./
 COPY src ./src
-RUN pip install --no-cache-dir ".[serve]"
+RUN pip install --no-cache-dir .
 
 COPY examples ./examples
 COPY benchmarks/results/cache ./benchmarks/results/cache
 
 EXPOSE 8000
 
-# The [serve] extra is baked in, so run the FastAPI/uvicorn frontend;
-# --http builtin works identically if the image is rebuilt without it.
+# The service's HTTP server is pure standard library: the package and
+# NumPy are all the image installs.
 CMD ["python", "-m", "repro", "serve", \
-     "--http", "fastapi", "--host", "0.0.0.0", "--port", "8000", \
+     "--host", "0.0.0.0", "--port", "8000", \
      "--workers", "2", "--jobs", "0"]

@@ -6,8 +6,9 @@
 #   STORE_DIR=/srv/repro-store deploy/serve.sh
 #                                   # persist the store outside the container
 #
-# The container starts with the checked-in warm store baked in; mounting
-# STORE_DIR replaces it with (and persists to) a host directory.
+# The container runs `python -m repro serve` (the standard-library HTTP
+# server) with the checked-in warm store baked in; mounting STORE_DIR
+# replaces it with (and persists to) a host directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

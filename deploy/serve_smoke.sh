@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke for the serve layer (run by CI's serve-smoke job).
 #
-# Starts the dependency-free builtin server against an empty store,
+# Starts the dependency-free stdlib server against an empty store,
 # submits examples/specs/quick_sweep.json over HTTP, polls the job to a
 # terminal state, checks the results payload, then runs the same spec
 # through `python -m repro sweep` into a second store and byte-compares

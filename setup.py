@@ -11,11 +11,4 @@ setup(
     # 3.10+: the hot-path types use dataclass(slots=True).
     python_requires=">=3.10",
     install_requires=["numpy"],
-    extras_require={
-        # The HTTP service's FastAPI/uvicorn frontend. The core package
-        # (and `python -m repro serve --http builtin`) never imports
-        # these; only `--http fastapi` does, with a clear error if the
-        # extra is missing.
-        "serve": ["fastapi", "uvicorn"],
-    },
 )

@@ -18,11 +18,12 @@ loaded from a serialised :class:`~repro.exp.ExperimentSpec`::
 
     python -m repro sweep --spec examples/specs/quick_sweep.json
 
-Execution is pluggable: ``--backend {serial,process}`` picks the
-execution backend, ``--shard I/N`` runs one deterministic shard of the
-grid (typically into its own ``--store``, recombined later with
-``store merge``), and ``--plugin MOD`` loads modules registering custom
-designs/workload profiles — inside worker processes too::
+Execution is pluggable: ``--jobs N`` picks the execution backend
+(serial for 1, a process pool otherwise), ``--shard I/N`` runs one
+deterministic shard of the grid (typically into its own ``--store``,
+recombined later with ``store merge``), and ``--plugin MOD`` loads
+modules registering custom designs/workload profiles — inside worker
+processes too::
 
     python -m repro sweep --spec spec.json --shard 1/2 --store shard1
     python -m repro sweep --spec spec.json --shard 2/2 --store shard2
@@ -72,7 +73,6 @@ from repro.analysis.report import format_table, percent
 from repro.caches.registry import design_names
 from repro.obs import configure_logging, configure_tracer
 from repro.exp import (
-    BACKEND_NAMES,
     ExperimentSpec,
     ResultStore,
     SweepRunner,
@@ -209,11 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default 1; 0 = one per CPU)",
     )
     sweep.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend (default: serial for --jobs 1, "
-        "process otherwise)",
-    )
-    sweep.add_argument(
         "--shard", type=_shard, default=None, metavar="I/N",
         help="run only shard I of N (deterministic grid partition; "
         "combine shard stores with 'repro store merge')",
@@ -272,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for missing points (default 1; 0 = one per CPU)",
     )
     report.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend for missing points (default: serial for "
-        "--jobs 1, process otherwise)",
-    )
-    report.add_argument(
         "--plugin", action="append", default=None, metavar="MOD",
         help="module registering custom designs/profiles/figures, loaded "
         "before rendering (repeatable)",
@@ -314,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         "per-point progress, cancel between points, fetch results as "
         "JSON/CSV and rendered figures; the result store is the cache "
         "tier — warm points answer instantly, misses fan out through the "
-        "execution backend.  The builtin HTTP frontend needs nothing "
-        "beyond the standard library; --http fastapi uses the "
-        "repro[serve] extra (fastapi + uvicorn).",
+        "execution backend.  The HTTP server needs nothing beyond the "
+        "standard library.",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",
@@ -335,11 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'sweep --jobs' (default 1; 0 = one per CPU)",
     )
     serve.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend for simulated points (default: serial "
-        "for --jobs 1, process otherwise)",
-    )
-    serve.add_argument(
         "--store", default=None, metavar="DIR",
         help="result store directory shared with the CLI writers "
         "(default benchmarks/results/cache, or $REPRO_RESULT_STORE)",
@@ -348,11 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal", default=None, metavar="FILE",
         help="JSONL job journal for restart visibility (default "
         "<store>/serve_journal.jsonl; 'none' disables)",
-    )
-    serve.add_argument(
-        "--http", choices=("builtin", "fastapi"), default="builtin",
-        help="HTTP frontend: the zero-dependency builtin server, or the "
-        "FastAPI app under uvicorn (requires the repro[serve] extra)",
     )
     serve.add_argument(
         "--allow-plugins", action="store_true",
@@ -401,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="local worker processes per shard, like 'sweep --jobs' "
         "(default 1; 0 = one per CPU)",
-    )
-    worker.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="local execution backend for leased points (default: serial "
-        "for --jobs 1, process otherwise)",
     )
     worker.add_argument(
         "--poll", type=float, default=1.0, metavar="S",
@@ -599,7 +573,7 @@ def _run_sweep(args) -> int:
                 lease_seconds=args.lease_seconds,
             )
         else:
-            backend = make_backend(args.backend, jobs=args.jobs, shard=args.shard)
+            backend = make_backend(jobs=args.jobs, shard=args.shard)
     except (TypeError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -673,7 +647,7 @@ def _run_report(args) -> int:
     # figures, which then render like any built-in deliverable.
     try:
         load_plugins(tuple(args.plugin or ()))
-        backend = make_backend(args.backend, jobs=args.jobs)
+        backend = make_backend(jobs=args.jobs)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -760,6 +734,7 @@ def _run_serve(args) -> int:
     # (for figure jobs) which builds every figure's spec on import.
     from repro.exp.store import default_store_dir
     from repro.serve import Coordinator, JobManager, SimulationService
+    from repro.serve.httpd import serve_forever
 
     store_dir = args.store if args.store is not None else default_store_dir()
     journal = args.journal
@@ -777,7 +752,6 @@ def _run_serve(args) -> int:
             store_dir=store_dir,
             workers=args.workers,
             jobs=args.jobs,
-            backend=args.backend,
             journal_path=journal,
         )
         coordinator = Coordinator(
@@ -792,18 +766,7 @@ def _run_serve(args) -> int:
     service = SimulationService(
         manager, allow_plugins=args.allow_plugins, coordinator=coordinator
     )
-    if args.http == "fastapi":
-        from repro.serve.fastapi_app import serve_forever
-    else:
-        from repro.serve.httpd import serve_forever
-    try:
-        serve_forever(service, host=args.host, port=args.port,
-                      quiet=args.quiet)
-    except RuntimeError as error:
-        # The fastapi frontend without the repro[serve] extra lands
-        # here with an actionable install hint; the core stays usable.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    serve_forever(service, host=args.host, port=args.port, quiet=args.quiet)
     return 0
 
 
@@ -816,7 +779,7 @@ def _run_worker(args) -> int:
     plugins = tuple(args.plugin or ())
     try:
         load_plugins(plugins)
-        backend = make_backend(args.backend, jobs=args.jobs)
+        backend = make_backend(jobs=args.jobs)
     except (TypeError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ The engine turns the paper's figure grids into composable pieces:
 """
 
 from repro.exp.backends import (
-    BACKEND_NAMES,
     DistributedBackend,
     HttpTransport,
     ProcessBackend,
@@ -63,7 +62,6 @@ from repro.exp.store import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
     "CompactionStats",
     "DistributedBackend",
     "ENGINE_VERSION",

@@ -5,9 +5,9 @@ How a sweep's uncached points run is a :class:`SweepBackend`:
 fan-out, the historical default for ``jobs > 1``) and ``ShardBackend``
 (a deterministic ``i/n`` grid partition delegating to an inner
 backend).  ``SweepRunner`` and ``run_figure`` accept any of them; the
-CLI exposes them as ``repro sweep --backend {serial,process}
-[--shard I/N]``.  See :mod:`repro.exp.backends.base` for the protocol
-and the plugin-bootstrap contract.
+CLI picks one from ``--jobs`` (and ``--shard I/N``) through
+:func:`make_backend`.  See :mod:`repro.exp.backends.base` for the
+protocol and the plugin-bootstrap contract.
 """
 
 from __future__ import annotations
@@ -25,31 +25,22 @@ from repro.exp.backends.process import ProcessBackend
 from repro.exp.backends.serial import SerialBackend
 from repro.exp.backends.shard import ShardBackend, parse_shard
 
-BACKEND_NAMES: Tuple[str, ...] = ("serial", "process")
-"""The directly selectable backends (sharding wraps either)."""
-
-
 def make_backend(
-    name: Optional[str] = None,
     jobs: int = 1,
     shard: Optional[Tuple[int, int]] = None,
 ) -> SweepBackend:
     """Build a backend from CLI-shaped arguments.
 
-    ``name=None`` keeps the historical behaviour: ``jobs > 1`` (or 0 =
-    one per CPU) selects the process backend, otherwise serial.  A
-    ``shard`` pair wraps the chosen backend in a :class:`ShardBackend`.
+    ``jobs == 1`` runs in-process (serial); anything else (0 = one per
+    CPU) fans out over a process pool.  A ``shard`` pair wraps the
+    chosen backend in a :class:`ShardBackend`.
     """
     if jobs < 0:
         raise ValueError("jobs must be non-negative")
-    if name is None:
-        name = "serial" if jobs == 1 else "process"
-    if name == "serial":
+    if jobs == 1:
         backend: SweepBackend = SerialBackend()
-    elif name == "process":
-        backend = ProcessBackend(jobs)
     else:
-        raise ValueError(f"unknown backend {name!r}; one of {BACKEND_NAMES}")
+        backend = ProcessBackend(jobs)
     if shard is not None:
         index, count = shard
         backend = ShardBackend(index, count, inner=backend)
@@ -57,7 +48,6 @@ def make_backend(
 
 
 __all__ = [
-    "BACKEND_NAMES",
     "COORDINATOR_PREFIX",
     "DistributedBackend",
     "HttpTransport",

@@ -314,6 +314,10 @@ class ExperimentPoint:
         if unknown:
             raise ValueError(f"unknown point fields: {sorted(unknown)}")
         data = dict(payload)
+        for name in ("capacity_mb", "scale", "num_requests", "seed", "page_size"):
+            value = data.get(name, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"point field {name!r} must be an integer")
         for name in ("cache_kwargs", "system_kwargs", "timing_kwargs"):
             if name in data:
                 data[name] = freeze_kwargs(

@@ -6,27 +6,26 @@ versioned HTTP API (``/api/v1``) through which clients submit
 format), poll and stream job progress, cancel jobs, and fetch results
 and rendered figures.  The :class:`~repro.exp.store.ResultStore` acts
 as the cache tier in front of the simulator — warm points answer
-instantly, misses fan out through a configurable execution backend —
-and the store's advisory file locking makes HTTP jobs and command-line
-sweeps safe concurrent writers of one store.
+instantly, misses fan out through the execution backend ``--jobs``
+picks — and the store's advisory file locking makes HTTP jobs and
+command-line sweeps safe concurrent writers of one store.
 
 Layers (each importable on its own):
 
 * :mod:`repro.serve.jobs` — the async job manager: bounded worker
   pool, ``pending/running/done/failed/cancelled`` states, cooperative
-  between-points cancellation, optional JSONL journal;
-* :mod:`repro.serve.service` — framework-neutral API semantics plus
-  the ``(method, path)`` router both frontends share;
+  between-points cancellation;
+* :mod:`repro.serve.journal` — the JSONL journal the job manager and
+  the coordinator both keep for restart visibility;
+* :mod:`repro.serve.service` — the ``/api/v1`` route table: one
+  function per route, plus the ``(method, path)`` router;
 * :mod:`repro.serve.coordinator` / :mod:`repro.serve.worker` — the
   distributed-sweep protocol: leased shards with deadlines, streamed
   result delivery, merge-folded completion (``python -m repro worker``
   is the fleet side; :mod:`repro.serve.faults` is its seeded
   fault-injection harness);
-* :mod:`repro.serve.httpd` — the dependency-free stdlib frontend
-  (``python -m repro serve`` default);
-* :mod:`repro.serve.fastapi_app` — the FastAPI/uvicorn frontend
-  (``pip install 'repro[serve]'``), gated so the core package stays
-  import-clean without it.
+* :mod:`repro.serve.httpd` — the standard-library HTTP server that
+  ``python -m repro serve`` runs.
 
 Start it from the command line::
 
@@ -35,7 +34,7 @@ Start it from the command line::
 and drive it with curl — see the README's "Serving" walkthrough.
 """
 
-from repro.serve.coordinator import Coordinator, CoordinatorError
+from repro.serve.coordinator import Coordinator
 from repro.serve.jobs import (
     Job,
     JobCancelled,
@@ -60,7 +59,6 @@ __all__ = [
     "API_ROUTES",
     "API_VERSION",
     "Coordinator",
-    "CoordinatorError",
     "Job",
     "JobCancelled",
     "JobManager",

@@ -24,17 +24,16 @@ the worker-fleet protocol end to end:
   visible to the submitter through the run's cursor-paged results log.
 
 Every state transition (run accepted, shard folded, run done/failed) is
-journaled as JSONL under a file lock; :meth:`Coordinator.restore`
-rebuilds runs from the journal on restart — folded shards reload their
-results from the store, unfolded shards simply go back to pending, and
-in-flight leases are dropped (workers discover this via a stale-lease
-reply and re-lease).
+appended to a :class:`~repro.serve.journal.Journal`;
+:meth:`Coordinator.restore` rebuilds runs from the journal on restart —
+folded shards reload their results from the store, unfolded shards
+simply go back to pending, and in-flight leases are dropped (workers
+discover this via a stale-lease reply and re-lease).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import secrets
 import shutil
 import tempfile
@@ -43,13 +42,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.exp.locking import file_lock
 from repro.exp.plugins import load_plugins
 from repro.exp.spec import ExperimentPoint
 from repro.exp.store import ResultStore, StoreMergeConflict
 from repro.obs.log import get_logger
 from repro.obs.metrics import registry
 from repro.obs.spans import tracer
+from repro.serve.journal import Journal
 
 log = get_logger("serve.coordinator")
 
@@ -69,10 +68,16 @@ DEFAULT_SHARDS = 16
 worker at roughly ``points / DEFAULT_SHARDS``."""
 
 
-class CoordinatorError(Exception):
-    """Protocol violation with its HTTP status (mapped by the service)."""
+class ServiceError(Exception):
+    """An API error with its HTTP status (the body is ``{"error": ...}``).
 
-    def __init__(self, status: int, message: str):
+    Raised by the coordinator and by the route functions in
+    :mod:`repro.serve.service`, whose ``dispatch`` turns it into the
+    error response.  It lives here, the lower of the two modules, so
+    both can import it.
+    """
+
+    def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
@@ -124,8 +129,8 @@ def partition(
 class Coordinator:
     """Shared run/lease state machine behind the coordinator routes.
 
-    Thread-safe: every public method takes the instance lock (the serve
-    frontends dispatch requests from many threads).  Time is read from
+    Thread-safe: every public method takes the instance lock (the HTTP
+    server dispatches requests from many threads).  Time is read from
     the injected ``clock`` only, so tests drive lease expiry
     deterministically.
     """
@@ -140,7 +145,7 @@ class Coordinator:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.store_dir = store_dir
-        self.journal_path = journal_path
+        self.journal = Journal(journal_path, "coordinator")
         self.lease_seconds = float(lease_seconds)
         self.default_shards = int(default_shards)
         self.allow_plugins = allow_plugins
@@ -151,56 +156,57 @@ class Coordinator:
         #: lease id -> shard, for leases that already folded (a retried
         #: ``complete`` must be acknowledged as duplicate, not stale).
         self._closed_leases: Dict[str, _Shard] = {}
-        self._journal_broken = False
-        if journal_path and os.path.exists(journal_path):
-            self.restore()
+        self.restore()
 
     # -- submission ----------------------------------------------------
 
     def submit(self, payload: Any) -> Dict[str, Any]:
         """Accept a run: validate, partition into shards, journal it."""
         if not isinstance(payload, dict):
-            raise CoordinatorError(400, "run payload must be a JSON object")
+            raise ServiceError(400, "run payload must be a JSON object")
         raw_points = payload.get("points")
         if not isinstance(raw_points, list) or not raw_points:
-            raise CoordinatorError(400, "run payload needs a non-empty 'points' list")
-        plugins = tuple(payload.get("plugins") or ())
-        if plugins and not self.allow_plugins:
-            raise CoordinatorError(
+            raise ServiceError(400, "run payload needs a non-empty 'points' list")
+        if payload.get("plugins") and not self.allow_plugins:
+            raise ServiceError(
                 400,
                 "plugins are disabled on this coordinator "
                 "(restart with --allow-plugins to accept them)",
             )
         try:
+            plugins = tuple(payload.get("plugins") or ())
             load_plugins(plugins)
-            points = tuple(
-                ExperimentPoint.from_dict(raw) for raw in raw_points
+            # Dedupe by key, preserving order: key-duplicate spellings of
+            # one experiment must not be simulated (or folded) twice.
+            # The key resolves the point's config, so it also rejects
+            # values the simulator cannot build (e.g. a zero scale).
+            deduped: Dict[str, ExperimentPoint] = {}
+            for raw in raw_points:
+                point = ExperimentPoint.from_dict(raw)
+                deduped.setdefault(point.key(), point)
+            shards = int(payload.get("shards") or self.default_shards)
+            lease_seconds = float(
+                payload.get("lease_seconds") or self.lease_seconds
             )
-        except (TypeError, ValueError) as error:
-            raise CoordinatorError(400, f"invalid run: {error}") from None
-        # Dedupe by key, preserving order: key-duplicate spellings of one
-        # experiment must not be simulated (or folded) twice.
-        deduped: Dict[str, ExperimentPoint] = {}
-        for point in points:
-            deduped.setdefault(point.key(), point)
+        except (ArithmeticError, TypeError, ValueError) as error:
+            raise ServiceError(400, f"invalid run: {error}") from None
+        # `not > 0` also rejects NaN, which would never expire.
+        if not lease_seconds > 0:
+            raise ServiceError(400, "lease_seconds must be positive")
         unique = tuple(deduped.values())
-        shards = payload.get("shards") or self.default_shards
-        lease_seconds = float(payload.get("lease_seconds") or self.lease_seconds)
-        if lease_seconds <= 0:
-            raise CoordinatorError(400, "lease_seconds must be positive")
         with self._lock:
             run = _Run(
                 id=f"run-{secrets.token_hex(4)}",
                 points=unique,
                 shards=[
                     _Shard(index=index, points=part)
-                    for index, part in enumerate(partition(unique, int(shards)))
+                    for index, part in enumerate(partition(unique, shards))
                 ],
                 lease_seconds=lease_seconds,
                 plugins=plugins,
             )
             self._runs[run.id] = run
-            self._journal({
+            self.journal.append({
                 "event": "run",
                 "run": run.id,
                 "points": [point.to_dict() for point in unique],
@@ -221,6 +227,9 @@ class Coordinator:
 
     def lease(self, worker: Optional[str] = None) -> Dict[str, Any]:
         """Grant the next pending shard to ``worker`` (or report idle)."""
+        if worker is not None and not isinstance(worker, str):
+            # Names are set members and sorted in snapshots.
+            raise ServiceError(400, "'worker' must be a string")
         worker = worker or "anonymous"
         with self._lock:
             self._expire_stale()
@@ -268,14 +277,14 @@ class Coordinator:
         key = payload.get("key")
         result = payload.get("result")
         if not isinstance(key, str) or not isinstance(result, dict):
-            raise CoordinatorError(
+            raise ServiceError(
                 400, "delivery needs a string 'key' and an object 'result'"
             )
         with self._lock:
             run = self._run_of(shard)
             expected = {point.key() for point in shard.points}
             if key not in expected:
-                raise CoordinatorError(
+                raise ServiceError(
                     400, f"key {key!r} is not part of shard {shard.index}"
                 )
             worker = payload.get("worker") or shard.worker
@@ -304,7 +313,7 @@ class Coordinator:
                     f"conflicting result for key {key} "
                     f"(worker {worker})",
                 )
-                raise CoordinatorError(409, run.error)
+                raise ServiceError(409, run.error)
             shard.delivered[key] = result
             _count("delivered")
             tracer().event(
@@ -330,7 +339,7 @@ class Coordinator:
                 if point.key() not in shard.delivered
             ]
             if missing:
-                raise CoordinatorError(
+                raise ServiceError(
                     409,
                     f"shard {shard.index} incomplete: {len(missing)} point(s) "
                     "undelivered",
@@ -341,10 +350,12 @@ class Coordinator:
                 self._fail_run(
                     run, f"store merge conflict folding shard {shard.index}: {error}"
                 )
-                raise CoordinatorError(409, run.error) from None
+                raise ServiceError(409, run.error) from None
             shard.state = "done"
             self._close_lease(shard)
-            self._journal({"event": "shard", "run": run.id, "shard": shard.index})
+            self.journal.append(
+                {"event": "shard", "run": run.id, "shard": shard.index}
+            )
             _count("folded")
             tracer().event(
                 "coordinator.complete", run=run.id, shard=shard.index,
@@ -354,7 +365,7 @@ class Coordinator:
                       worker=shard.worker, points=len(shard.points))
             if all(s.state == "done" for s in run.shards):
                 run.state = "done"
-                self._journal({"event": "done", "run": run.id})
+                self.journal.append({"event": "done", "run": run.id})
                 _count("done")
                 tracer().event(
                     "coordinator.done", run=run.id, points=len(run.points),
@@ -407,17 +418,9 @@ class Coordinator:
         engine is deterministic, so re-running can only reproduce the
         same bytes.
         """
-        if not self.journal_path or not os.path.exists(self.journal_path):
+        records = list(self.journal.records())
+        if not records:
             return
-        records: List[dict] = []
-        with open(self.journal_path) as handle:
-            for line in handle:
-                try:
-                    record = json.loads(line)
-                    if isinstance(record, dict) and "event" in record:
-                        records.append(record)
-                except json.JSONDecodeError:
-                    continue  # torn tail, same tolerance as the store
         with self._lock:
             store = ResultStore(self.store_dir)
             for record in records:
@@ -495,10 +498,10 @@ class Coordinator:
         self, payload: Any
     ) -> Tuple[Optional[str], Optional[_Shard]]:
         if not isinstance(payload, dict):
-            raise CoordinatorError(400, "payload must be a JSON object")
+            raise ServiceError(400, "payload must be a JSON object")
         lease_id = payload.get("lease")
         if not isinstance(lease_id, str):
-            raise CoordinatorError(400, "payload needs a string 'lease'")
+            raise ServiceError(400, "payload needs a string 'lease'")
         with self._lock:
             self._expire_stale()
             shard = self._leases.get(lease_id)
@@ -510,7 +513,7 @@ class Coordinator:
         for run in self._runs.values():
             if shard in run.shards:
                 return run
-        raise CoordinatorError(500, "lease points at an unknown run")
+        raise ServiceError(500, "lease points at an unknown run")
 
     def _expire_stale(self) -> None:
         now = self.clock()
@@ -571,7 +574,7 @@ class Coordinator:
     def _fail_run(self, run: _Run, error: str) -> None:
         run.state = "failed"
         run.error = error
-        self._journal({"event": "failed", "run": run.id, "error": error})
+        self.journal.append({"event": "failed", "run": run.id, "error": error})
 
     def _snapshot(self, run: _Run) -> Dict[str, Any]:
         states = {"pending": 0, "leased": 0, "done": 0}
@@ -594,35 +597,14 @@ class Coordinator:
     def _get_run(self, run_id: str) -> _Run:
         run = self._runs.get(run_id)
         if run is None:
-            raise CoordinatorError(404, f"unknown run {run_id!r}")
+            raise ServiceError(404, f"unknown run {run_id!r}")
         return run
-
-    def _journal(self, record: Dict[str, Any]) -> None:
-        """Append one JSONL record; journal loss degrades, never fails.
-
-        Mirrors the job manager's journal: an unwritable journal path
-        (full disk, directory in the way) must not take down a healthy
-        coordinator — restart durability is lost, correctness is not.
-        """
-        if self.journal_path is None or self._journal_broken:
-            return
-        record = {"ts": time.time(), **record}
-        try:
-            directory = os.path.dirname(self.journal_path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with file_lock(self.journal_path + ".lock"):
-                with open(self.journal_path, "a") as handle:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-        except OSError as error:
-            self._journal_broken = True
-            log.warning("coordinator journal disabled", error=str(error))
 
 
 __all__ = [
     "Coordinator",
-    "CoordinatorError",
     "DEFAULT_LEASE_SECONDS",
     "DEFAULT_SHARDS",
+    "ServiceError",
     "partition",
 ]

@@ -1,19 +1,16 @@
-"""Zero-dependency HTTP frontend: the server ``repro serve`` runs by default.
+"""The HTTP server ``repro serve`` runs, built on the standard library.
 
 A :class:`ThreadingHTTPServer` whose handler translates requests into
 :func:`repro.serve.service.dispatch` calls — every route, status code
-and payload is defined there, shared with the FastAPI adapter.  One
-thread per connection is exactly right for this service's traffic
-shape: requests are either instant (status polls, store-served
-results) or deliberately long-lived (NDJSON event streams), and the
-simulation work itself runs on the job manager's pool, not on request
-threads.
+and payload is defined there.  One thread per connection is exactly
+right for this service's traffic shape: requests are either instant
+(status polls, store-served results) or deliberately long-lived (NDJSON
+event streams), and the simulation work itself runs on the job
+manager's pool, not on request threads.
 
-This frontend exists so the service has no mandatory dependencies: the
-container image, CI smoke job and test suite all exercise the real
-wire protocol with nothing but the standard library.  Deployments that
-want uvicorn's connection handling install ``repro[serve]`` and run
-the FastAPI app instead; both speak byte-identical API semantics.
+Needing nothing beyond the standard library, the same server runs in
+the container image, the CI smoke jobs and the test suite, which all
+exercise the real wire protocol.
 """
 
 from __future__ import annotations
@@ -87,8 +84,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(data)))
-        for name, value in response.headers.items():
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -105,7 +100,7 @@ def serve_forever(
     port: int = 8000,
     quiet: bool = False,
 ) -> None:
-    """Run the builtin server until interrupted; shuts the pool down."""
+    """Run the server until interrupted; shuts the pool down."""
     server = ReproHTTPServer((host, port), service, quiet=quiet)
     bound_host, bound_port = server.server_address[:2]
     print(f"repro-serve listening on http://{bound_host}:{bound_port}/api/v1")

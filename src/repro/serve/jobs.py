@@ -25,8 +25,6 @@ byte-for-byte like the equivalent ``python -m repro sweep`` invocation.
 
 from __future__ import annotations
 
-import json
-import os
 import secrets
 import threading
 import time
@@ -34,12 +32,12 @@ from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exp import ExperimentSpec, ResultStore, SweepRunner, make_backend
-from repro.exp.locking import file_lock
+from repro.exp import ExperimentSpec, ResultStore, SweepRunner
 from repro.exp.spec import ExperimentPoint
 from repro.obs.log import get_logger
 from repro.obs.metrics import registry
 from repro.obs.spans import tracer
+from repro.serve.journal import Journal
 
 log = get_logger("serve.jobs")
 
@@ -67,8 +65,8 @@ class Job:
 
     All mutation happens under :attr:`_cond`'s lock; every event append
     notifies waiters, which is what lets the events endpoint stream a
-    job live.  Snapshots are plain JSON-ready dicts — the single shape
-    both HTTP frontends serve.
+    job live.  Snapshots are plain JSON-ready dicts — the shape the API
+    serves.
     """
 
     def __init__(
@@ -117,11 +115,16 @@ class Job:
     def cancel_requested(self) -> bool:
         return self._cancel.is_set()
 
+    # Each state change appends its event inside the same critical
+    # section (``_cond`` is reentrant), so a reader never sees a state
+    # whose event is not logged yet: once a job reads as terminal, its
+    # terminal event is already in the log for streams to deliver.
+
     def mark_started(self) -> None:
         with self._cond:
             self.state = JobState.RUNNING
             self.started = time.time()
-        self._event("started")
+            self._event("started")
 
     def record_point(self, label: str, cached: bool, completed: int) -> None:
         with self._cond:
@@ -130,10 +133,10 @@ class Job:
                 self.served_from_store += 1
             else:
                 self.simulated += 1
-        self._event(
-            "point", label=label, served_from_store=cached,
-            completed=completed, total=self.total,
-        )
+            self._event(
+                "point", label=label, served_from_store=cached,
+                completed=completed, total=self.total,
+            )
 
     def finish(self, state: JobState, error: Optional[str] = None) -> bool:
         """Move to a terminal state once; later calls are ignored."""
@@ -143,7 +146,7 @@ class Job:
             self.state = state
             self.error = error
             self.finished = time.time()
-        self._event(state.value, error=error)
+            self._event(state.value, error=error)
         return True
 
     # -- observation (API side) ----------------------------------------
@@ -184,6 +187,11 @@ class Job:
                 self._cond.wait(remaining)
             return list(self.events[since:])
 
+    def exhausted(self, since: int) -> bool:
+        """True once the job is terminal and no event remains from ``since``."""
+        with self._cond:
+            return self.state.terminal and len(self.events) <= since
+
 
 class JobManager:
     """Bounded worker pool executing submitted jobs against one store.
@@ -199,14 +207,10 @@ class JobManager:
         Worker *processes per job* for simulated points — forwarded to
         :func:`~repro.exp.backends.make_backend` exactly like the
         sweep CLI's ``--jobs``.
-    backend:
-        Execution backend name (``serial``/``process``; None = what
-        ``jobs`` implies), again mirroring the CLI.
     journal_path:
-        Optional JSONL journal of job lifecycle transitions, appended
-        under the same advisory file lock the store uses.  Restart
-        visibility: :meth:`history` reads it back, including previous
-        server runs' entries.
+        Optional JSONL :class:`~repro.serve.journal.Journal` of job
+        lifecycle transitions.  Restart visibility: :meth:`history`
+        reads it back, including previous server runs' entries.
     """
 
     def __init__(
@@ -214,21 +218,18 @@ class JobManager:
         store_dir: Optional[str] = None,
         workers: int = 2,
         jobs: int = 1,
-        backend: Optional[str] = None,
         use_cache: bool = True,
         journal_path: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
-        # Validate the backend configuration now, not at first submit.
-        make_backend(backend, jobs=jobs)
+        if jobs < 0:
+            raise ValueError("jobs must be non-negative")
         self.store_dir = store_dir
         self.workers = workers
         self.jobs = jobs
-        self.backend = backend
         self.use_cache = use_cache
-        self.journal_path = journal_path
-        self._journal_broken = False
+        self.journal = Journal(journal_path, "job")
         self.run_id = secrets.token_hex(4)
         self._sequence = 0
         self._jobs: Dict[str, Job] = {}
@@ -365,7 +366,6 @@ class JobManager:
                             jobs=self.jobs,
                             use_cache=self.use_cache,
                             progress=progress,
-                            backend=make_backend(self.backend, jobs=self.jobs),
                         )
                         job.artifacts = [
                             {"name": artifact.name, "text": artifact.text}
@@ -377,7 +377,6 @@ class JobManager:
                             jobs=self.jobs,
                             use_cache=self.use_cache,
                             progress=progress,
-                            backend=make_backend(self.backend, jobs=self.jobs),
                         )
                         runner.run(job.spec)
                     finished = job.finish(JobState.DONE)
@@ -408,25 +407,9 @@ class JobManager:
     # -- journal -------------------------------------------------------
 
     def _journal(self, job: Job, event: str, **data: Any) -> None:
-        if self.journal_path is None or self._journal_broken:
-            return
-        record = {
-            "ts": time.time(), "run": self.run_id, "job": job.id,
-            "event": event, **data,
-        }
-        # An unwritable journal (read-only file, directory in the way,
-        # full disk) costs restart visibility, never the job itself: the
-        # manager keeps serving and warns once.
-        try:
-            directory = os.path.dirname(self.journal_path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with file_lock(self.journal_path + ".lock"):
-                with open(self.journal_path, "a") as handle:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-        except OSError as error:
-            self._journal_broken = True
-            log.warning("job journal disabled", error=str(error))
+        self.journal.append(
+            {"run": self.run_id, "job": job.id, "event": event, **data}
+        )
 
     def _journal_terminal(self, job: Job) -> None:
         snapshot = job.snapshot()
@@ -446,38 +429,29 @@ class JobManager:
         ``restored`` — they exist for operator visibility after a
         restart, not as live jobs.
         """
-        if self.journal_path is None or not os.path.exists(self.journal_path):
-            return []
         summaries: Dict[str, Dict[str, Any]] = {}
-        try:
-            handle = open(self.journal_path)
-        except OSError:
-            return []  # unreadable journal: no history, not an error
-        with handle:
-            for line in handle:
-                try:
-                    record = json.loads(line)
-                    job_id = record["job"]
-                    event = record["event"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    continue  # torn journal tail: skip, like the store
-                entry = summaries.setdefault(job_id, {
-                    "job": job_id,
-                    "run": record.get("run"),
-                    "restored": record.get("run") != self.run_id,
-                })
-                entry["last_event"] = event
-                entry["ts"] = record.get("ts")
-                for field in ("kind", "detail", "total", "completed",
-                              "served_from_store", "simulated", "error"):
-                    if field in record:
-                        entry[field] = record[field]
-                if event in ("done", "failed", "cancelled"):
-                    entry["state"] = event
-                elif "state" not in entry:
-                    entry["state"] = (
-                        "running" if event == "started" else "pending"
-                    )
+        for record in self.journal.records():
+            job_id = record.get("job")
+            if not isinstance(job_id, str):
+                continue
+            event = record["event"]
+            entry = summaries.setdefault(job_id, {
+                "job": job_id,
+                "run": record.get("run"),
+                "restored": record.get("run") != self.run_id,
+            })
+            entry["last_event"] = event
+            entry["ts"] = record.get("ts")
+            for field in ("kind", "detail", "total", "completed",
+                          "served_from_store", "simulated", "error"):
+                if field in record:
+                    entry[field] = record[field]
+            if event in ("done", "failed", "cancelled"):
+                entry["state"] = event
+            elif "state" not in entry:
+                entry["state"] = (
+                    "running" if event == "started" else "pending"
+                )
         return list(summaries.values())
 
 

@@ -1,24 +1,22 @@
-"""The simulation service: versioned API semantics, framework-free.
+"""The simulation service: the ``/api/v1`` route table and its semantics.
 
-Everything the HTTP API does lives here as plain methods on
-:class:`SimulationService` — submit a spec, poll a job, stream events,
-cancel, fetch results as JSON or CSV, render figures — plus a tiny
-router (:data:`API_ROUTES` + :func:`dispatch`) that maps
-``(method, path)`` onto those methods and returns a transport-neutral
-:class:`Response`.
+Each route is one function here.  It reads the service's state — the
+:class:`~repro.serve.jobs.JobManager`, the distributed-run
+:class:`~repro.serve.coordinator.Coordinator` and the shared
+:class:`~repro.exp.store.ResultStore` — and returns a transport-neutral
+:class:`Response`.  :data:`API_ROUTES` is derived from the one route
+table, and :func:`dispatch` maps ``(method, path)`` onto it, turning
+every :class:`ServiceError` into a JSON error body.
 
-Both HTTP frontends are thin adapters over this module: the stdlib
-server (:mod:`repro.serve.httpd`, zero dependencies, what
-``python -m repro serve`` runs by default) and the FastAPI application
-(:mod:`repro.serve.fastapi_app`, the ``repro[serve]`` extra).  Keeping
-the semantics here means the two cannot drift, and the test suite can
-exercise the full API without importing either framework.
+The stdlib server (:mod:`repro.serve.httpd`, what ``python -m repro
+serve`` runs) is a thin transport over :func:`dispatch`, and the tests
+call the same function without a socket
+(:class:`~repro.serve.faults.LocalTransport`).
 
-The service itself holds no simulation state: jobs run in the
-:class:`~repro.serve.jobs.JobManager`, results live in the shared
-:class:`~repro.exp.store.ResultStore` — warm points answer instantly
-from the store (the cache tier), misses fan out through the configured
-execution backend.
+The service itself holds no simulation state: jobs run in the job
+manager, and results live in the store — warm points answer instantly
+from the store (the cache tier), misses fan out through the execution
+backend ``--jobs`` picks.
 """
 
 from __future__ import annotations
@@ -26,53 +24,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import unquote
 
 from repro.caches.registry import design_names
 from repro.exp import ENGINE_VERSION, ResultStore
 from repro.obs.metrics import registry, render_prometheus
-from repro.serve.coordinator import Coordinator, CoordinatorError
+from repro.serve.coordinator import Coordinator, ServiceError
 from repro.serve.jobs import Job, JobManager, JobState, spec_from_payload
 from repro.workloads.profiles import profile_names
 from repro.workloads.trace import shared_trace_cache
 
 API_VERSION = "v1"
 API_PREFIX = f"/api/{API_VERSION}"
-
-#: Every route of the versioned API: ``(method, path template)``.
-#: The single source the adapters, the docs checker and the API index
-#: all read — a route that is not here does not exist.
-API_ROUTES: Tuple[Tuple[str, str], ...] = (
-    ("GET", f"{API_PREFIX}"),
-    ("GET", f"{API_PREFIX}/health"),
-    ("GET", f"{API_PREFIX}/metrics"),
-    # The one route outside the versioned prefix: Prometheus scrapers
-    # expect the conventional bare path (text exposition format).
-    ("GET", "/metrics"),
-    ("GET", f"{API_PREFIX}/designs"),
-    ("GET", f"{API_PREFIX}/workloads"),
-    ("GET", f"{API_PREFIX}/figures"),
-    ("POST", f"{API_PREFIX}/figures/{{name}}"),
-    ("POST", f"{API_PREFIX}/jobs"),
-    ("GET", f"{API_PREFIX}/jobs"),
-    ("GET", f"{API_PREFIX}/jobs/{{id}}"),
-    ("POST", f"{API_PREFIX}/jobs/{{id}}/cancel"),
-    ("GET", f"{API_PREFIX}/jobs/{{id}}/events"),
-    ("GET", f"{API_PREFIX}/jobs/{{id}}/results"),
-    ("GET", f"{API_PREFIX}/journal"),
-    # Distributed-sweep coordinator (src/repro/serve/coordinator.py):
-    # submitters POST runs and page folded results; workers lease
-    # shards, stream deliveries, and mark shards complete.
-    ("POST", f"{API_PREFIX}/coordinator/runs"),
-    ("GET", f"{API_PREFIX}/coordinator/runs"),
-    ("GET", f"{API_PREFIX}/coordinator/runs/{{id}}"),
-    ("GET", f"{API_PREFIX}/coordinator/runs/{{id}}/results"),
-    ("POST", f"{API_PREFIX}/coordinator/lease"),
-    ("POST", f"{API_PREFIX}/coordinator/results"),
-    ("POST", f"{API_PREFIX}/coordinator/complete"),
-)
 
 #: CSV columns of the results export, in order.  Axis columns identify
 #: the point (plus its store key); metric columns are the headline
@@ -85,15 +50,6 @@ RESULTS_CSV_COLUMNS: Tuple[str, ...] = (
 )
 
 
-class ServiceError(Exception):
-    """An API error with its HTTP status (the body is ``{"error": ...}``)."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
 @dataclass
 class Response:
     """Transport-neutral response: JSON payload, raw text, or a stream."""
@@ -103,7 +59,6 @@ class Response:
     payload: Any = None
     text: Optional[str] = None
     stream: Optional[Iterator[str]] = None
-    headers: Dict[str, str] = field(default_factory=dict)
 
     def body_bytes(self) -> bytes:
         if self.text is not None:
@@ -111,8 +66,18 @@ class Response:
         return (json.dumps(self.payload, sort_keys=True) + "\n").encode()
 
 
+_TERMINAL_EVENTS = frozenset(
+    state.value for state in JobState if state.terminal
+)
+
+
 class SimulationService:
-    """API semantics over one :class:`~repro.serve.jobs.JobManager`."""
+    """The state every route reads: a job manager and a coordinator.
+
+    Routes call :attr:`manager` and :attr:`coordinator` directly; the
+    methods here are the few pieces of logic more than one route, or a
+    stream, needs.
+    """
 
     def __init__(
         self,
@@ -126,36 +91,11 @@ class SimulationService:
             store_dir=manager.store_dir, allow_plugins=allow_plugins
         )
 
-    # -- introspection -------------------------------------------------
-
-    def index(self) -> Dict[str, Any]:
-        """The API surface, for ``GET /api/v1``."""
-        return {
-            "service": "repro-serve",
-            "api": API_VERSION,
-            "routes": [f"{method} {path}" for method, path in API_ROUTES],
-        }
-
-    def health(self) -> Dict[str, Any]:
-        store = ResultStore(self.manager.store_dir)
-        jobs = self.manager.list()
-        by_state = {state.value: 0 for state in JobState}
-        for job in jobs:
-            by_state[job.snapshot()["state"]] += 1
-        runs = self.coordinator.list_runs()
-        return {
-            "status": "ok",
-            "engine_version": ENGINE_VERSION,
-            "run": self.manager.run_id,
-            "store": store.path,
-            "store_records": len(store),
-            "workers": self.manager.workers,
-            "jobs": by_state,
-            "coordinator": {
-                "runs": len(runs),
-                "active": sum(1 for run in runs if run["state"] == "running"),
-            },
-        }
+    def _job(self, job_id: str) -> Job:
+        try:
+            return self.manager.get(job_id)
+        except KeyError:
+            raise ServiceError(404, f"unknown job {job_id!r}") from None
 
     def _refresh_gauges(self) -> None:
         """Mirror pull-model stats into the registry at scrape time.
@@ -177,146 +117,22 @@ class SimulationService:
         ):
             reg.gauge(f"repro_trace_cache_{name}", help_text).set(stats[name])
 
-    def metrics(self) -> Dict[str, Any]:
-        """The registry snapshot, for ``GET /api/v1/metrics`` (JSON)."""
-        self._refresh_gauges()
-        return {
-            "service": "repro-serve",
-            "run": self.manager.run_id,
-            "metrics": registry().as_dict(),
-        }
-
-    def metrics_text(self) -> str:
-        """Prometheus text exposition, for ``GET /metrics``."""
-        self._refresh_gauges()
-        return render_prometheus(registry())
-
-    def designs(self) -> Dict[str, Any]:
-        return {"designs": list(design_names())}
-
-    def workloads(self) -> Dict[str, Any]:
-        return {"workloads": list(profile_names())}
-
-    def figures(self) -> Dict[str, Any]:
-        from repro.reporting import figure_names, get_figure
-
-        return {
-            "figures": [
-                {
-                    "name": name,
-                    "title": get_figure(name).title,
-                    "artifacts": list(get_figure(name).artifacts),
-                    "points": len(get_figure(name).points()),
-                }
-                for name in figure_names()
-            ]
-        }
-
-    # -- jobs ----------------------------------------------------------
-
-    def submit(self, payload: Any) -> Dict[str, Any]:
-        """Submit an ExperimentSpec payload (the ``--spec`` JSON format)."""
-        try:
-            spec = spec_from_payload(payload, allow_plugins=self.allow_plugins)
-        except (TypeError, ValueError) as error:
-            raise ServiceError(400, f"invalid spec: {error}") from None
-        return self.manager.submit_spec(spec).snapshot()
-
-    def submit_figure(self, name: str) -> Dict[str, Any]:
-        try:
-            return self.manager.submit_figure(name).snapshot()
-        except KeyError as error:
-            raise ServiceError(404, str(error.args[0])) from None
-
-    def _job(self, job_id: str) -> Job:
-        try:
-            return self.manager.get(job_id)
-        except KeyError:
-            raise ServiceError(404, f"unknown job {job_id!r}") from None
-
-    def list_jobs(self) -> Dict[str, Any]:
-        return {"jobs": [job.snapshot() for job in self.manager.list()]}
-
-    def job_status(self, job_id: str) -> Dict[str, Any]:
-        return self._job(job_id).snapshot()
-
-    def cancel(self, job_id: str) -> Dict[str, Any]:
-        return self.manager.cancel(self._job(job_id).id).snapshot()
-
-    def journal(self) -> Dict[str, Any]:
-        return {"journal": self.manager.journal_path,
-                "jobs": self.manager.history()}
-
-    # -- distributed coordinator ---------------------------------------
-
-    def _coordinator_call(self, call: Callable[[], Any]) -> Any:
-        try:
-            return call()
-        except CoordinatorError as error:
-            raise ServiceError(error.status, error.message) from None
-
-    def submit_run(self, payload: Any) -> Dict[str, Any]:
-        return self._coordinator_call(lambda: self.coordinator.submit(payload))
-
-    def list_runs(self) -> Dict[str, Any]:
-        return {"runs": self._coordinator_call(self.coordinator.list_runs)}
-
-    def run_status(self, run_id: str) -> Dict[str, Any]:
-        return self._coordinator_call(
-            lambda: self.coordinator.run_snapshot(run_id)
-        )
-
-    def run_results(self, run_id: str, since: int = 0) -> Dict[str, Any]:
-        return self._coordinator_call(
-            lambda: self.coordinator.run_results(run_id, since=since)
-        )
-
-    def lease_shard(self, payload: Any) -> Dict[str, Any]:
-        worker = None
-        if isinstance(payload, dict):
-            worker = payload.get("worker")
-        return self._coordinator_call(lambda: self.coordinator.lease(worker))
-
-    def deliver_result(self, payload: Any) -> Dict[str, Any]:
-        return self._coordinator_call(lambda: self.coordinator.deliver(payload))
-
-    def complete_shard(self, payload: Any) -> Dict[str, Any]:
-        return self._coordinator_call(lambda: self.coordinator.complete(payload))
-
-    # -- events --------------------------------------------------------
-
-    def events(self, job_id: str, since: int = 0) -> Dict[str, Any]:
-        """One non-blocking page of a job's event log (poll style)."""
-        job = self._job(job_id)
-        events = job.events_since(since)
-        return {
-            "job": job.id,
-            "state": job.snapshot()["state"],
-            "events": events,
-            "next": since + len(events),
-        }
-
     def stream_events(
-        self, job_id: str, since: int = 0, poll_seconds: float = 1.0
+        self, job: Job, since: int = 0, poll_seconds: float = 1.0
     ) -> Iterator[Dict[str, Any]]:
-        """Yield events live until the job's terminal event has passed."""
-        job = self._job(job_id)
+        """Yield events live until the job's terminal event has passed.
+
+        A stream resumed at or past the end of a finished job's log
+        ends at once, with nothing to yield.
+        """
         cursor = since
-        while True:
+        while not job.exhausted(cursor):
             batch = job.wait_events(cursor, timeout=poll_seconds)
             cursor += len(batch)
-            terminal = False
             for event in batch:
                 yield event
-                terminal = terminal or event["event"] in (
-                    JobState.DONE.value,
-                    JobState.FAILED.value,
-                    JobState.CANCELLED.value,
-                )
-            if terminal:
-                return
-
-    # -- results -------------------------------------------------------
+                if event["event"] in _TERMINAL_EVENTS:
+                    return
 
     def _result_rows(self, job: Job) -> List[Dict[str, Any]]:
         """Per-point results, served from the shared store.
@@ -345,54 +161,9 @@ class SimulationService:
             })
         return rows
 
-    def results(self, job_id: str) -> Dict[str, Any]:
-        job = self._job(job_id)
-        rows = self._result_rows(job)
-        payload = {
-            "job": job.id,
-            "kind": job.kind,
-            "state": job.snapshot()["state"],
-            "complete": all(row["served"] for row in rows),
-            "points": rows,
-        }
-        if job.kind == "figure":
-            payload["artifacts"] = list(job.artifacts)
-        return payload
-
-    def results_csv(self, job_id: str) -> str:
-        job = self._job(job_id)
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(RESULTS_CSV_COLUMNS)
-        for row in self._result_rows(job):
-            result = row["result"] or {}
-            metrics = {
-                "miss_ratio": result.get("miss_ratio", ""),
-                "hit_ratio": result.get("hit_ratio", ""),
-                "offchip_traffic_normalized": "",
-                "aggregate_ipc": "",
-            }
-            if row["result"] is not None:
-                from repro.sim.simulator import SimulationResult
-
-                full = SimulationResult.from_dict(row["result"])
-                metrics["offchip_traffic_normalized"] = (
-                    full.offchip_traffic_normalized
-                )
-                metrics["aggregate_ipc"] = full.aggregate_ipc
-            writer.writerow([
-                row["workload"], row["design"], row["capacity_mb"],
-                row["scale"], row["requests"], row["seed"], row["page_size"],
-                row["key"], row["served"],
-                metrics["miss_ratio"], metrics["hit_ratio"],
-                metrics["offchip_traffic_normalized"],
-                metrics["aggregate_ipc"],
-            ])
-        return out.getvalue()
-
 
 # ----------------------------------------------------------------------
-# Routing: (method, path) -> service call, shared by every adapter.
+# Routing: (method, path) -> route function.
 # ----------------------------------------------------------------------
 
 
@@ -466,135 +237,255 @@ RouteHandler = Callable[
 ]
 
 
-def _h_index(service, params, query, body) -> Response:
-    return Response(payload=service.index())
+def _index(service, params, query, body) -> Response:
+    return Response(payload={
+        "service": "repro-serve",
+        "api": API_VERSION,
+        "routes": [f"{method} {path}" for method, path in API_ROUTES],
+    })
 
 
-def _h_health(service, params, query, body) -> Response:
-    return Response(payload=service.health())
+def _health(service, params, query, body) -> Response:
+    manager = service.manager
+    store = ResultStore(manager.store_dir)
+    by_state = {state.value: 0 for state in JobState}
+    for job in manager.list():
+        by_state[job.snapshot()["state"]] += 1
+    runs = service.coordinator.list_runs()
+    return Response(payload={
+        "status": "ok",
+        "engine_version": ENGINE_VERSION,
+        "run": manager.run_id,
+        "store": store.path,
+        "store_records": len(store),
+        "workers": manager.workers,
+        "jobs": by_state,
+        "coordinator": {
+            "runs": len(runs),
+            "active": sum(1 for run in runs if run["state"] == "running"),
+        },
+    })
 
 
-def _h_metrics(service, params, query, body) -> Response:
-    return Response(payload=service.metrics())
+def _metrics(service, params, query, body) -> Response:
+    service._refresh_gauges()
+    return Response(payload={
+        "service": "repro-serve",
+        "run": service.manager.run_id,
+        "metrics": registry().as_dict(),
+    })
 
 
-def _h_metrics_text(service, params, query, body) -> Response:
+def _metrics_text(service, params, query, body) -> Response:
+    service._refresh_gauges()
     return Response(
         content_type="text/plain; version=0.0.4; charset=utf-8",
-        text=service.metrics_text(),
+        text=render_prometheus(registry()),
     )
 
 
-def _h_designs(service, params, query, body) -> Response:
-    return Response(payload=service.designs())
+def _designs(service, params, query, body) -> Response:
+    return Response(payload={"designs": list(design_names())})
 
 
-def _h_workloads(service, params, query, body) -> Response:
-    return Response(payload=service.workloads())
+def _workloads(service, params, query, body) -> Response:
+    return Response(payload={"workloads": list(profile_names())})
 
 
-def _h_figures(service, params, query, body) -> Response:
-    return Response(payload=service.figures())
+def _figures(service, params, query, body) -> Response:
+    from repro.reporting import figure_names, get_figure
+
+    return Response(payload={
+        "figures": [
+            {
+                "name": name,
+                "title": get_figure(name).title,
+                "artifacts": list(get_figure(name).artifacts),
+                "points": len(get_figure(name).points()),
+            }
+            for name in figure_names()
+        ]
+    })
 
 
-def _h_submit_figure(service, params, query, body) -> Response:
-    return Response(status=202, payload=service.submit_figure(params["name"]))
+def _submit_figure(service, params, query, body) -> Response:
+    try:
+        job = service.manager.submit_figure(params["name"])
+    except KeyError as error:
+        raise ServiceError(404, str(error.args[0])) from None
+    return Response(status=202, payload=job.snapshot())
 
 
-def _h_submit(service, params, query, body) -> Response:
-    return Response(status=202, payload=service.submit(_json_body(body)))
+def _submit(service, params, query, body) -> Response:
+    """Submit an ExperimentSpec payload (the ``--spec`` JSON format)."""
+    payload = _json_body(body)
+    try:
+        spec = spec_from_payload(payload, allow_plugins=service.allow_plugins)
+    except (TypeError, ValueError) as error:
+        raise ServiceError(400, f"invalid spec: {error}") from None
+    return Response(status=202, payload=service.manager.submit_spec(spec).snapshot())
 
 
-def _h_jobs(service, params, query, body) -> Response:
-    return Response(payload=service.list_jobs())
+def _jobs(service, params, query, body) -> Response:
+    return Response(
+        payload={"jobs": [job.snapshot() for job in service.manager.list()]}
+    )
 
 
-def _h_job(service, params, query, body) -> Response:
-    return Response(payload=service.job_status(params["id"]))
+def _job(service, params, query, body) -> Response:
+    return Response(payload=service._job(params["id"]).snapshot())
 
 
-def _h_cancel(service, params, query, body) -> Response:
-    return Response(payload=service.cancel(params["id"]))
+def _cancel(service, params, query, body) -> Response:
+    job = service._job(params["id"])
+    return Response(payload=service.manager.cancel(job.id).snapshot())
 
 
-def _h_events(service, params, query, body) -> Response:
+def _events(service, params, query, body) -> Response:
     since = _int_query(query, "since", 0)
+    job = service._job(params["id"])
     if query.get("stream", "1") in ("0", "false", "no"):
-        return Response(payload=service.events(params["id"], since=since))
+        # One non-blocking page of the event log (poll style).
+        events = job.events_since(since)
+        return Response(payload={
+            "job": job.id,
+            "state": job.snapshot()["state"],
+            "events": events,
+            "next": since + len(events),
+        })
     return Response(
         content_type="application/x-ndjson",
-        stream=_ndjson(service.stream_events(params["id"], since=since)),
+        stream=_ndjson(service.stream_events(job, since=since)),
     )
 
 
-def _h_results(service, params, query, body) -> Response:
+def _results(service, params, query, body) -> Response:
+    job = service._job(params["id"])
+    rows = service._result_rows(job)
     if query.get("format", "json") == "csv":
-        return Response(
-            content_type="text/csv",
-            text=service.results_csv(params["id"]),
-        )
-    return Response(payload=service.results(params["id"]))
+        return Response(content_type="text/csv", text=_results_csv(rows))
+    payload = {
+        "job": job.id,
+        "kind": job.kind,
+        "state": job.snapshot()["state"],
+        "complete": all(row["served"] for row in rows),
+        "points": rows,
+    }
+    if job.kind == "figure":
+        payload["artifacts"] = list(job.artifacts)
+    return Response(payload=payload)
 
 
-def _h_submit_run(service, params, query, body) -> Response:
-    return Response(status=202, payload=service.submit_run(_json_body(body)))
+def _results_csv(rows: List[Dict[str, Any]]) -> str:
+    from repro.sim.simulator import SimulationResult
+
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(RESULTS_CSV_COLUMNS)
+    for row in rows:
+        result = row["result"] or {}
+        metrics = {
+            "miss_ratio": result.get("miss_ratio", ""),
+            "hit_ratio": result.get("hit_ratio", ""),
+            "offchip_traffic_normalized": "",
+            "aggregate_ipc": "",
+        }
+        if row["result"] is not None:
+            full = SimulationResult.from_dict(row["result"])
+            metrics["offchip_traffic_normalized"] = (
+                full.offchip_traffic_normalized
+            )
+            metrics["aggregate_ipc"] = full.aggregate_ipc
+        writer.writerow([
+            row["workload"], row["design"], row["capacity_mb"],
+            row["scale"], row["requests"], row["seed"], row["page_size"],
+            row["key"], row["served"],
+            metrics["miss_ratio"], metrics["hit_ratio"],
+            metrics["offchip_traffic_normalized"],
+            metrics["aggregate_ipc"],
+        ])
+    return out.getvalue()
 
 
-def _h_runs(service, params, query, body) -> Response:
-    return Response(payload=service.list_runs())
+def _journal(service, params, query, body) -> Response:
+    manager = service.manager
+    return Response(
+        payload={"journal": manager.journal.path, "jobs": manager.history()}
+    )
 
 
-def _h_run(service, params, query, body) -> Response:
-    return Response(payload=service.run_status(params["id"]))
+def _submit_run(service, params, query, body) -> Response:
+    return Response(
+        status=202, payload=service.coordinator.submit(_json_body(body))
+    )
 
 
-def _h_run_results(service, params, query, body) -> Response:
+def _runs(service, params, query, body) -> Response:
+    return Response(payload={"runs": service.coordinator.list_runs()})
+
+
+def _run(service, params, query, body) -> Response:
+    return Response(payload=service.coordinator.run_snapshot(params["id"]))
+
+
+def _run_results(service, params, query, body) -> Response:
     since = _int_query(query, "since", 0)
-    return Response(payload=service.run_results(params["id"], since=since))
+    return Response(
+        payload=service.coordinator.run_results(params["id"], since=since)
+    )
 
 
-def _h_lease(service, params, query, body) -> Response:
+def _lease(service, params, query, body) -> Response:
     # Leasing needs no parameters; a body, when present, names the worker.
     payload = _json_body(body) if body else {}
-    return Response(payload=service.lease_shard(payload))
+    worker = payload.get("worker") if isinstance(payload, dict) else None
+    return Response(payload=service.coordinator.lease(worker))
 
 
-def _h_deliver(service, params, query, body) -> Response:
-    return Response(payload=service.deliver_result(_json_body(body)))
+def _deliver(service, params, query, body) -> Response:
+    return Response(payload=service.coordinator.deliver(_json_body(body)))
 
 
-def _h_complete(service, params, query, body) -> Response:
-    return Response(payload=service.complete_shard(_json_body(body)))
+def _complete(service, params, query, body) -> Response:
+    return Response(payload=service.coordinator.complete(_json_body(body)))
 
 
+#: Every route of the versioned API, ``(method, path template)`` ->
+#: route function.  The one route table: :data:`API_ROUTES`, the API
+#: index and the docs checker all read it, and a route that is not here
+#: does not exist.
 _HANDLERS: Dict[Tuple[str, str], RouteHandler] = {
-    ("GET", f"{API_PREFIX}"): _h_index,
-    ("GET", f"{API_PREFIX}/health"): _h_health,
-    ("GET", f"{API_PREFIX}/metrics"): _h_metrics,
-    ("GET", "/metrics"): _h_metrics_text,
-    ("GET", f"{API_PREFIX}/designs"): _h_designs,
-    ("GET", f"{API_PREFIX}/workloads"): _h_workloads,
-    ("GET", f"{API_PREFIX}/figures"): _h_figures,
-    ("POST", f"{API_PREFIX}/figures/{{name}}"): _h_submit_figure,
-    ("POST", f"{API_PREFIX}/jobs"): _h_submit,
-    ("GET", f"{API_PREFIX}/jobs"): _h_jobs,
-    ("GET", f"{API_PREFIX}/jobs/{{id}}"): _h_job,
-    ("POST", f"{API_PREFIX}/jobs/{{id}}/cancel"): _h_cancel,
-    ("GET", f"{API_PREFIX}/jobs/{{id}}/events"): _h_events,
-    ("GET", f"{API_PREFIX}/jobs/{{id}}/results"): _h_results,
-    ("GET", f"{API_PREFIX}/journal"): lambda service, p, q, b: Response(
-        payload=service.journal()
-    ),
-    ("POST", f"{API_PREFIX}/coordinator/runs"): _h_submit_run,
-    ("GET", f"{API_PREFIX}/coordinator/runs"): _h_runs,
-    ("GET", f"{API_PREFIX}/coordinator/runs/{{id}}"): _h_run,
-    ("GET", f"{API_PREFIX}/coordinator/runs/{{id}}/results"): _h_run_results,
-    ("POST", f"{API_PREFIX}/coordinator/lease"): _h_lease,
-    ("POST", f"{API_PREFIX}/coordinator/results"): _h_deliver,
-    ("POST", f"{API_PREFIX}/coordinator/complete"): _h_complete,
+    ("GET", f"{API_PREFIX}"): _index,
+    ("GET", f"{API_PREFIX}/health"): _health,
+    ("GET", f"{API_PREFIX}/metrics"): _metrics,
+    # The one route outside the versioned prefix: Prometheus scrapers
+    # expect the conventional bare path (text exposition format).
+    ("GET", "/metrics"): _metrics_text,
+    ("GET", f"{API_PREFIX}/designs"): _designs,
+    ("GET", f"{API_PREFIX}/workloads"): _workloads,
+    ("GET", f"{API_PREFIX}/figures"): _figures,
+    ("POST", f"{API_PREFIX}/figures/{{name}}"): _submit_figure,
+    ("POST", f"{API_PREFIX}/jobs"): _submit,
+    ("GET", f"{API_PREFIX}/jobs"): _jobs,
+    ("GET", f"{API_PREFIX}/jobs/{{id}}"): _job,
+    ("POST", f"{API_PREFIX}/jobs/{{id}}/cancel"): _cancel,
+    ("GET", f"{API_PREFIX}/jobs/{{id}}/events"): _events,
+    ("GET", f"{API_PREFIX}/jobs/{{id}}/results"): _results,
+    ("GET", f"{API_PREFIX}/journal"): _journal,
+    # Distributed-sweep coordinator (src/repro/serve/coordinator.py):
+    # submitters POST runs and page folded results; workers lease
+    # shards, stream deliveries, and mark shards complete.
+    ("POST", f"{API_PREFIX}/coordinator/runs"): _submit_run,
+    ("GET", f"{API_PREFIX}/coordinator/runs"): _runs,
+    ("GET", f"{API_PREFIX}/coordinator/runs/{{id}}"): _run,
+    ("GET", f"{API_PREFIX}/coordinator/runs/{{id}}/results"): _run_results,
+    ("POST", f"{API_PREFIX}/coordinator/lease"): _lease,
+    ("POST", f"{API_PREFIX}/coordinator/results"): _deliver,
+    ("POST", f"{API_PREFIX}/coordinator/complete"): _complete,
 }
 
-assert set(_HANDLERS) == set(API_ROUTES), "route table and handlers diverged"
+#: ``(method, path template)`` of every route, in index order.
+API_ROUTES: Tuple[Tuple[str, str], ...] = tuple(_HANDLERS)
 
 
 def _find(

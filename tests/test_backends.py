@@ -136,16 +136,11 @@ class TestMakeBackend:
         assert isinstance(make_backend(jobs=4), ProcessBackend)
         assert isinstance(make_backend(jobs=0), ProcessBackend)
 
-    def test_explicit_names_and_shard(self):
-        assert isinstance(make_backend("serial", jobs=8), SerialBackend)
-        backend = make_backend("process", jobs=2, shard=(2, 3))
+    def test_shard_wraps_the_jobs_backend(self):
+        backend = make_backend(jobs=2, shard=(2, 3))
         assert isinstance(backend, ShardBackend)
         assert (backend.index, backend.count) == (2, 3)
         assert isinstance(backend.inner, ProcessBackend)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_backend("threads")
 
 
 class TestBackendParity:

@@ -108,22 +108,18 @@ class TestSweepMain:
 class TestBackendFlags:
     def test_backend_shard_plugin_parse(self):
         args = build_parser().parse_args(
-            ["sweep", "--backend", "process", "--shard", "2/3",
+            ["sweep", "--jobs", "2", "--shard", "2/3",
              "--plugin", "mod_a", "--plugin", "mod_b"]
         )
-        assert args.backend == "process"
+        assert args.jobs == 2
         assert args.shard == (2, 3)
         assert args.plugin == ["mod_a", "mod_b"]
 
     def test_backend_defaults(self):
         args = build_parser().parse_args(["sweep"])
-        assert args.backend is None
+        assert args.jobs == 1
         assert args.shard is None
         assert args.plugin is None
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--backend", "threads"])
 
     def test_bad_shard_rejected(self):
         for shard in ("3/2", "0/2", "x/y", "2"):
@@ -205,7 +201,7 @@ class TestPluginSweep:
             assert "cli_plug/page/64MB" in out
             assert "1 simulated" in out
             # Serial re-run keys identically: everything is a cache hit.
-            assert main(grid + ["--backend", "serial"]) == 0
+            assert main(grid) == 0
             assert "all points served from cache" in capsys.readouterr().out
         finally:
             from repro.workloads.profiles import profile_names, unregister_profile

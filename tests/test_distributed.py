@@ -37,7 +37,7 @@ from repro.exp import (
     TransportError,
 )
 from repro.exp.backends.distributed import COORDINATOR_PREFIX
-from repro.serve import API_PREFIX, Coordinator
+from repro.serve import API_PREFIX, Coordinator, dispatch
 from repro.serve.coordinator import partition
 from repro.serve.faults import (
     FaultSchedule,
@@ -427,6 +427,55 @@ class TestCoordinatorRestart:
         keys = [row["key"] for row in page["results"]]
         assert sorted(keys) == sorted(p.key() for p in spec.points())
 
+    def test_restore_skips_a_torn_line_mid_journal(
+        self, tmp_path, serve_stack
+    ):
+        store_dir = str(tmp_path / "coord")
+        journal = tmp_path / "journal.jsonl"
+        service = serve_stack(store_dir=store_dir, journal_path=str(journal))
+        transport = LocalTransport(service)
+        points = tuple(tiny_spec(seeds=(0, 1)).points())
+        run_id = submit_points(transport, points, shards=2)
+        drain(WorkerLoop(transport))
+
+        # A writer killed mid-append leaves a torn line; every record
+        # after it (the folded shards, the run's end) must still count.
+        lines = journal.read_text().splitlines(keepends=True)
+        lines.insert(1, '{"ts": 1.0, "event": "sha\n')
+        journal.write_text("".join(lines))
+        restarted = Coordinator(store_dir=store_dir, journal_path=str(journal))
+        snapshot = restarted.run_snapshot(run_id)
+        assert snapshot["state"] == "done"
+        assert snapshot["shards"] == {"pending": 0, "leased": 0, "done": 2}
+
+    def test_unwritable_journal_degrades_without_hurting_runs(
+        self, tmp_path, serve_stack, reference, capfd
+    ):
+        """Journal loss costs restart durability, never the run itself.
+
+        A directory where the journal file should be makes every append
+        fail; the coordinator must start, warn once, and still fold the
+        run into a byte-identical store.
+        """
+        spec, reference_lines = reference
+        store_dir = str(tmp_path / "coord")
+        journal = tmp_path / "coordinator_journal.jsonl"
+        journal.mkdir()
+        service = serve_stack(store_dir=store_dir, journal_path=str(journal))
+        transport = LocalTransport(service)
+        run_id = submit_points(transport, spec.points(), shards=3)
+        drain(WorkerLoop(transport, worker_id="w0"))
+
+        snapshot = transport.call("GET", f"{COORDINATOR_PREFIX}/runs/{run_id}")
+        assert snapshot["state"] == "done"
+        assert snapshot["folded"] == 6
+        assert store_lines(tmp_path / "coord") == reference_lines
+        warnings = [
+            line for line in capfd.readouterr().err.splitlines()
+            if "coordinator journal disabled" in line
+        ]
+        assert len(warnings) == 1
+
     def test_restart_with_compacted_store_reruns_the_shard(
         self, tmp_path, serve_stack
     ):
@@ -459,6 +508,41 @@ class TestSubmissionValidation:
             with pytest.raises(TransportError) as excinfo:
                 transport.call("POST", f"{COORDINATOR_PREFIX}/runs", payload)
             assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("route, payload", [
+        ("runs", {"shards": "x"}),
+        ("runs", {"shards": {"a": 1}}),
+        ("runs", {"lease_seconds": "soon"}),
+        ("runs", {"lease_seconds": "nan"}),
+        ("runs", {"points": [{"workload": "web_search", "capacity_mb": 64.5}]}),
+        ("runs", {"points": [{"workload": "web_search", "scale": 0}]}),
+        ("lease", {"worker": 5}),
+        ("lease", {"worker": [1]}),
+    ], ids=[
+        "shards-string", "shards-object", "lease-seconds-string",
+        "lease-seconds-nan", "fractional-capacity", "zero-scale",
+        "worker-int", "worker-list",
+    ])
+    def test_malformed_input_is_400_and_server_stays_healthy(
+        self, tmp_path, serve_stack, route, payload
+    ):
+        service = serve_stack(store_dir=str(tmp_path / "coord"))
+        transport = LocalTransport(service)
+        points = tiny_spec(seeds=(0, 1)).points()
+        # A live run with one shard leased to a named worker: a bad
+        # name would land in the same run as a good one.
+        submit_points(transport, points, shards=2)
+        transport.call("POST", f"{COORDINATOR_PREFIX}/lease", {"worker": "w1"})
+
+        if route == "runs":
+            payload = {"points": [point.to_dict() for point in points], **payload}
+        response = dispatch(
+            service, "POST", f"{COORDINATOR_PREFIX}/{route}",
+            body=json.dumps(payload).encode(),
+        )
+        assert response.status == 400, response.payload
+        for path in (f"{API_PREFIX}/health", f"{COORDINATOR_PREFIX}/runs"):
+            assert dispatch(service, "GET", path).status == 200
 
     def test_unknown_design_rejected(self, tmp_path, serve_stack):
         service = serve_stack(store_dir=str(tmp_path / "coord"))

@@ -34,15 +34,14 @@ def test_checker_catches_bad_flags_and_values():
 
         parser = build_parser()
         clean = (
-            "python -m repro sweep --backend process --shard 1/2 --jobs 2",
+            "python -m repro sweep --shard 1/2 --jobs 2",
             "python -m repro sweep --plugin examples/custom_design.py",
             "python -m repro store merge shard1 shard2 --into merged",
-            "python -m repro report fig01 --backend serial",
+            "python -m repro report fig01 --jobs 2",
         )
         for command in clean:
             assert check_command(command, parser) == [], command
         dirty = (
-            "python -m repro sweep --backend threads",     # bad choice
             "python -m repro sweep --shard 3/2",           # bad shard value
             "python -m repro sweep --jobs lots",           # bad int
             "python -m repro store merge x --wrong-flag",  # unknown flag
@@ -81,7 +80,7 @@ def test_checker_validates_worker_flags_and_coordinator_routes():
         dirty = (
             "python -m repro worker --coordinator http://h:1 --jobs lots",
             "python -m repro worker --url http://h:1",          # unknown flag
-            "python -m repro worker --coordinator http://h:1 --backend threads",
+            "python -m repro worker --coordinator http://h:1 --poll soon",
         )
         for command in dirty:
             assert check_command(command, parser), command

@@ -1,10 +1,8 @@
-"""End-to-end HTTP API tests over real sockets (builtin frontend).
+"""End-to-end HTTP API tests over real sockets.
 
-The builtin ``http.server`` frontend binds an ephemeral port and the
+The stdlib ``http.server`` frontend binds an ephemeral port and the
 tests drive it with ``urllib`` — the actual wire protocol, no test
-doubles.  The final class re-runs the core flows through the FastAPI
-adapter (skipped unless the ``repro[serve]`` extra's dependencies are
-installed) to pin that both frontends serve identical API semantics.
+doubles.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.exp import ExperimentSpec, ResultStore, SweepRunner
-from repro.serve import API_PREFIX, JobManager, SimulationService
+from repro.serve import API_PREFIX
 from repro.sim.simulator import SimulationResult
 
 
@@ -92,7 +90,30 @@ def test_index_lists_every_route(server):
     status, payload = request(base, "")
     assert status == 200
     assert payload["api"] == "v1"
-    assert "POST /api/v1/jobs" in payload["routes"]
+    assert payload["routes"] == [
+        "GET /api/v1",
+        "GET /api/v1/health",
+        "GET /api/v1/metrics",
+        "GET /metrics",
+        "GET /api/v1/designs",
+        "GET /api/v1/workloads",
+        "GET /api/v1/figures",
+        "POST /api/v1/figures/{name}",
+        "POST /api/v1/jobs",
+        "GET /api/v1/jobs",
+        "GET /api/v1/jobs/{id}",
+        "POST /api/v1/jobs/{id}/cancel",
+        "GET /api/v1/jobs/{id}/events",
+        "GET /api/v1/jobs/{id}/results",
+        "GET /api/v1/journal",
+        "POST /api/v1/coordinator/runs",
+        "GET /api/v1/coordinator/runs",
+        "GET /api/v1/coordinator/runs/{id}",
+        "GET /api/v1/coordinator/runs/{id}/results",
+        "POST /api/v1/coordinator/lease",
+        "POST /api/v1/coordinator/results",
+        "POST /api/v1/coordinator/complete",
+    ]
 
 
 def test_health_reports_store_and_workers(server):
@@ -175,6 +196,16 @@ def test_event_pages_and_stream(server):
         events = [json.loads(line) for line in response.read().splitlines()]
     assert [event["event"] for event in events] == names
 
+    # A stream resumed at or past the end of a finished job's log has
+    # nothing left to send: it ends at once with an empty body.
+    for since in (page["next"], page["next"] + 5):
+        with urllib.request.urlopen(
+            f"{base}{API_PREFIX}/jobs/{job_id}/events?since={since}",
+            timeout=5,
+        ) as response:
+            assert response.status == 200
+            assert response.read() == b""
+
 
 def test_stream_disconnect_mid_event_leaves_server_healthy(server):
     """A client that hangs up mid-NDJSON-line must not hurt anything.
@@ -239,6 +270,7 @@ def test_cancel_queued_job_via_api(server):
 def test_error_statuses(server):
     base, _ = server
     assert request(base, "/jobs/nope")[0] == 404
+    assert request(base, "/jobs/nope/events")[0] == 404  # stream mode too
     assert request(base, "/nope")[0] == 404
     assert request(base, "/health", method="POST", payload={})[0] == 405
     status, payload = request(base, "/jobs", method="POST",
@@ -251,51 +283,3 @@ def test_error_statuses(server):
     assert "plugins" in payload["error"]
     status, payload = request(base, "/figures/fig99", method="POST", payload={})
     assert status == 404
-
-
-class TestFastAPIFrontend:
-    """The FastAPI adapter serves the same semantics (needs the extra)."""
-
-    @pytest.fixture()
-    def client(self, tmp_path, result_payload):
-        pytest.importorskip("fastapi")
-        pytest.importorskip("httpx")  # TestClient's transport
-        from fastapi.testclient import TestClient
-
-        from repro.serve.fastapi_app import create_app
-
-        store = ResultStore(str(tmp_path / "store"))
-        result = SimulationResult.from_dict(result_payload)
-        for point in tiny_spec(seeds=(0, 1)).points():
-            store.put(point, result)
-        manager = JobManager(store_dir=store.directory, workers=1)
-        with TestClient(create_app(SimulationService(manager))) as client:
-            yield client
-        manager.shutdown(wait=False)
-
-    def test_submit_and_results_match_builtin_semantics(self, client):
-        assert client.get(f"{API_PREFIX}/health").json()["status"] == "ok"
-        spec = tiny_spec(seeds=(0, 1))
-        submitted = client.post(f"{API_PREFIX}/jobs", json=spec.to_dict())
-        assert submitted.status_code == 202
-        job_id = submitted.json()["id"]
-        for _ in range(600):
-            snapshot = client.get(f"{API_PREFIX}/jobs/{job_id}").json()
-            if snapshot["state"] in ("done", "failed", "cancelled"):
-                break
-            time.sleep(0.05)
-        assert snapshot["state"] == "done"
-        assert snapshot["progress"]["simulated"] == 0
-        results = client.get(f"{API_PREFIX}/jobs/{job_id}/results").json()
-        assert results["complete"] is True
-        assert len(results["points"]) == 2
-        assert client.get(f"{API_PREFIX}/jobs/nope").status_code == 404
-        assert client.post(f"{API_PREFIX}/health").status_code == 405
-
-    def test_missing_extra_message_names_install_target(self):
-        # Independent of whether fastapi is installed: the gate's error
-        # text must tell the operator exactly what to do.
-        from repro.serve.fastapi_app import INSTALL_HINT
-
-        assert "repro[serve]" in INSTALL_HINT
-        assert "--http builtin" in INSTALL_HINT

@@ -211,6 +211,27 @@ def test_journal_survives_restart_with_restored_entries(
     assert restored[job.id]["state"] == "done"
 
 
+def test_history_skips_a_torn_line_mid_journal(
+    tmp_path, result_payload, manager_factory
+):
+    spec = tiny_spec(seeds=(0, 1))
+    store = warm_store(tmp_path, result_payload, spec)
+    journal = tmp_path / "journal.jsonl"
+    manager = manager_factory(store, journal_path=str(journal))
+    job = manager.submit_spec(spec)
+    wait_terminal(job)
+
+    # A writer killed mid-append leaves a torn line; the records after
+    # it (the job's start and end) must still count.
+    lines = journal.read_text().splitlines(keepends=True)
+    lines.insert(1, '{"ts": 1.0, "run": "dead", "jo\n')
+    journal.write_text("".join(lines))
+    history = manager_factory(store, journal_path=str(journal)).history()
+    assert [(entry["job"], entry["state"]) for entry in history] == [
+        (job.id, "done")
+    ]
+
+
 def test_unwritable_journal_degrades_without_hurting_jobs(
     tmp_path, result_payload, manager_factory, capfd
 ):

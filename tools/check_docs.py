@@ -145,7 +145,7 @@ def _subparsers(parser: argparse.ArgumentParser):
 def _check_flag_value(flag: str, value: str, action) -> list:
     """Validate one documented flag value against the parser's action.
 
-    Checks ``choices`` membership (e.g. ``--backend serial``) and runs
+    Checks ``choices`` membership (e.g. ``--design footprint``) and runs
     custom ``type`` callables (e.g. the ``--shard I/N`` parser), so a
     documented value the CLI would reject fails the docs check too.
     Placeholder-free docs are the norm here; plain-``str`` flags are
