@@ -1,17 +1,31 @@
 """Page access density characterisation (paper Fig. 4).
 
 Page density = number of demanded 64B blocks within a page during one
-cache residency.  The tracker models an LRU page cache of the target
+cache residency.  Both paths below model an LRU page cache of the target
 capacity (exactly what the paper's page-based cache would retain) and
-histograms densities at eviction; pages still resident at the end of the
+histogram densities at eviction; pages still resident at the end of the
 trace contribute their current density, matching the paper's observation
 that the multiprogrammed workload's dense pages are cache-resident.
+
+* :class:`PageDensityTracker` is the readable reference: one
+  :class:`~repro.mem.request.MemoryRequest` at a time through a generic
+  :class:`~repro.caches.sram_cache.SetAssociativeCache`.
+* :func:`density_bincount` is the exact column kernel Fig. 4 runs: a
+  NumPy pass per segment of an int64 address column computes page,
+  block offset and set index, then one tight loop replays the same LRU
+  sets as insertion-ordered dicts (a touch pops and re-inserts the page,
+  the victim is the first key).  Every residency is recorded exactly
+  once, at eviction or at the end, so its histogram equals the
+  tracker's bucket for bucket; ``tests/test_analysis.py`` pins that on
+  every workload and capacity of Fig. 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.caches.sram_cache import SetAssociativeCache
 from repro.bitops import popcount
@@ -28,6 +42,34 @@ DENSITY_BUCKETS: Tuple[Tuple[int, int, str], ...] = (
 )
 """Fig. 4's legend buckets for 2KB pages (32 blocks)."""
 
+#: Requests per NumPy pass of :func:`density_bincount`.  Small segments
+#: keep the per-request Python lists short-lived (a whole 160k-request
+#: column as lists would cost several MB per capacity).
+SEGMENT_REQUESTS = 4096
+
+
+def _num_sets(capacity_bytes: int, page_size: int, associativity: int) -> int:
+    if capacity_bytes <= 0 or capacity_bytes % (page_size * associativity):
+        raise ValueError("capacity must be a whole number of sets")
+    return capacity_bytes // (page_size * associativity)
+
+
+def bucket_fractions(histogram: Histogram) -> Dict[str, float]:
+    """Fractions of a density histogram per Fig. 4 bucket."""
+    return {
+        label: histogram.fraction_in_range(low, high)
+        for low, high, label in DENSITY_BUCKETS
+    }
+
+
+def density_histogram(bincount: Sequence[int]) -> Histogram:
+    """A histogram holding ``bincount[k]`` residencies of ``k`` blocks."""
+    histogram = Histogram("page_density")
+    for blocks, count in enumerate(bincount):
+        if count:
+            histogram.record(blocks, count)
+    return histogram
+
 
 class PageDensityTracker:
     """LRU page cache that records demanded-block counts at eviction."""
@@ -39,12 +81,10 @@ class PageDensityTracker:
         associativity: int = 16,
         block_size: int = 64,
     ) -> None:
-        if capacity_bytes % (page_size * associativity):
-            raise ValueError("capacity must be a whole number of sets")
+        num_sets = _num_sets(capacity_bytes, page_size, associativity)
         self.page_size = page_size
         self.block_size = block_size
         self.blocks_per_page = page_size // block_size
-        num_sets = capacity_bytes // (page_size * associativity)
         self._pages: SetAssociativeCache[int, int] = SetAssociativeCache(
             num_sets=num_sets,
             associativity=associativity,
@@ -66,17 +106,19 @@ class PageDensityTracker:
             self._pages.insert(page, mask | 1 << offset)
 
     def finish(self) -> Histogram:
-        """Flush resident pages into the histogram and return it."""
-        for _, mask in self._pages.items():
+        """Flush resident pages into the histogram and return it.
+
+        Flushed pages leave the cache, so calling this again records
+        nothing twice.
+        """
+        for page, mask in list(self._pages.items()):
+            self._pages.invalidate(page)
             self.histogram.record(popcount(mask))
         return self.histogram
 
     def bucket_fractions(self) -> Dict[str, float]:
         """Fractions per Fig. 4 bucket (call after :meth:`finish`)."""
-        return {
-            label: self.histogram.fraction_in_range(low, high)
-            for low, high, label in DENSITY_BUCKETS
-        }
+        return bucket_fractions(self.histogram)
 
 
 def page_density_profile(
@@ -88,5 +130,48 @@ def page_density_profile(
     tracker = PageDensityTracker(capacity_bytes, page_size=page_size)
     for request in requests:
         tracker.observe(request)
-    tracker.finish()
-    return tracker.bucket_fractions()
+    return bucket_fractions(tracker.finish())
+
+
+def density_bincount(
+    addresses,
+    capacity_bytes: int,
+    page_size: int = 2048,
+    associativity: int = 16,
+    block_size: int = 64,
+) -> Tuple[int, ...]:
+    """Residencies per demanded-block count over an address column.
+
+    Entry ``k`` of the result counts the page residencies that demanded
+    ``k`` distinct blocks (entry 0 is always 0).  The counts equal
+    :class:`PageDensityTracker`'s histogram for the same requests and
+    geometry.
+    """
+    num_sets = _num_sets(capacity_bytes, page_size, associativity)
+    if page_size & (page_size - 1) or block_size & (block_size - 1):
+        raise ValueError("page_size and block_size must be powers of two")
+    blocks_per_page = page_size // block_size
+    bits = [1 << offset for offset in range(blocks_per_page)]
+    sets = [{} for _ in range(num_sets)]
+    bincount = [0] * (blocks_per_page + 1)
+    column = np.asarray(addresses, dtype=np.int64)
+    for start in range(0, len(column), SEGMENT_REQUESTS):
+        segment = column[start:start + SEGMENT_REQUESTS]
+        pages = segment // page_size
+        offsets = segment % page_size // block_size
+        set_ids = pages % num_sets
+        for page, offset, set_id in zip(
+            pages.tolist(), offsets.tolist(), set_ids.tolist()
+        ):
+            resident = sets[set_id]
+            mask = resident.pop(page, None)
+            if mask is None:
+                if len(resident) >= associativity:
+                    bincount[resident.pop(next(iter(resident))).bit_count()] += 1
+                resident[page] = bits[offset]
+            else:
+                resident[page] = mask | bits[offset]
+    for resident in sets:
+        for mask in resident.values():
+            bincount[mask.bit_count()] += 1
+    return tuple(bincount)

@@ -11,17 +11,34 @@ involve no simulation) — running any missing simulations is
 :func:`~repro.reporting.registry.run_figure`'s job, so a warm result
 store renders every figure without simulating anything.
 
+Fig. 4 and Fig. 12 analyse the same trace: :func:`trace_analyses`
+generates each workload's trace once, as an int64 address column, runs
+both column analyses over it, and keeps only their immutable results
+in a small per-process memo.  Each renderer builds fresh figure data
+from the memo, so one render cannot corrupt the next.
+
 The benches under ``benchmarks/`` are thin wrappers over these entries;
 ``python -m repro report`` drives them from the shell.
 """
 
 from __future__ import annotations
 
+import functools
+from operator import attrgetter
+
+import numpy as np
+
 from repro.analysis.coverage import access_counts_per_page, coverage_curve
-from repro.analysis.page_density import DENSITY_BUCKETS, PageDensityTracker
+from repro.analysis.page_density import (
+    DENSITY_BUCKETS,
+    bucket_fractions,
+    density_bincount,
+    density_histogram,
+)
 from repro.analysis.report import format_table, percent
 from repro.core.overheads import table4
 from repro.exp.spec import ExperimentSpec
+from repro.obs.spans import tracer
 from repro.perf.stats import geometric_mean
 from repro.reporting.registry import register_figure
 from repro.workloads.cloudsuite import WORKLOAD_NAMES, make_workload
@@ -128,28 +145,51 @@ def render_fig01(ctx):
 
 
 # ----------------------------------------------------------------------
-# Fig. 4 — page access density (trace analysis; no simulation)
+# Figs. 4 and 12 — one analysed trace per workload (no simulation)
 # ----------------------------------------------------------------------
 
-FIG04_REQUESTS = 160_000
+#: Length of the one trace per workload that Figs. 4 and 12 both analyse.
+ANALYSIS_REQUESTS = 160_000
+
+#: Workloads whose analysis results the per-process memo keeps.
+ANALYSIS_MEMO_ENTRIES = len(WORKLOAD_NAMES)
 
 
-def density_profiles(workload: str):
-    """One trace pass feeding four capacity-specific trackers."""
-    trackers = {
-        capacity: PageDensityTracker(capacity * MB // SCALE)
+def density_profiles(addresses):
+    """Fig. 4's density bincount at each of :data:`CAPACITIES_MB`."""
+    return tuple(
+        density_bincount(addresses, capacity * MB // SCALE)
         for capacity in CAPACITIES_MB
-    }
-    for request in make_workload(
-        workload, seed=SEED, dataset_scale=64 / SCALE
-    ).requests(FIG04_REQUESTS):
-        for tracker in trackers.values():
-            tracker.observe(request)
-    profiles = {}
-    for capacity, tracker in trackers.items():
-        tracker.finish()
-        profiles[capacity] = (tracker.bucket_fractions(), tracker.histogram.mean())
-    return profiles
+    )
+
+
+@functools.lru_cache(maxsize=ANALYSIS_MEMO_ENTRIES)
+def trace_analyses(workload: str):
+    """Fig. 4's bincounts and Fig. 12's ranked 4KB page counts, memoized.
+
+    The workload's trace is generated once, as an int64 address column,
+    and dropped once both analyses have read it; only their immutable
+    results stay in the memo.  With tracing on, each computation is one
+    ``analysis.trace`` span (a memo hit costs nothing and emits none).
+    """
+    with tracer().span(
+        "analysis.trace", workload=workload, requests=ANALYSIS_REQUESTS, memo=False
+    ):
+        requests = make_workload(
+            workload, seed=SEED, dataset_scale=64 / SCALE
+        ).requests(ANALYSIS_REQUESTS)
+        addresses = np.fromiter(
+            map(attrgetter("address"), requests), dtype=np.int64, count=ANALYSIS_REQUESTS
+        )
+        densities = density_profiles(addresses)
+        counts = access_counts_per_page(addresses, page_size=4096)
+        ranked = tuple(np.sort(counts)[::-1].tolist())
+    return densities, ranked
+
+
+# ----------------------------------------------------------------------
+# Fig. 4 — page access density
+# ----------------------------------------------------------------------
 
 
 @register_figure(
@@ -159,9 +199,13 @@ def density_profiles(workload: str):
 )
 def render_fig04(ctx):
     """Block-per-page-residency histograms per workload and capacity."""
-    all_profiles = {
-        workload: density_profiles(workload) for workload in WORKLOAD_NAMES
-    }
+    all_profiles = {}
+    for workload in WORKLOAD_NAMES:
+        densities, _ = trace_analyses(workload)
+        profiles = all_profiles[workload] = {}
+        for capacity, bincount in zip(CAPACITIES_MB, densities):
+            histogram = density_histogram(bincount)
+            profiles[capacity] = (bucket_fractions(histogram), histogram.mean())
     labels = [label for _, _, label in DENSITY_BUCKETS]
     rows = []
     for workload in WORKLOAD_NAMES:
@@ -651,7 +695,6 @@ def render_fig11(ctx):
 # ----------------------------------------------------------------------
 
 COVERAGE_POINTS = (0.2, 0.4, 0.6, 0.8)
-FIG12_REQUESTS = 160_000
 
 
 @register_figure(
@@ -663,10 +706,7 @@ def render_fig12(ctx):
     """Scale-out workloads have no compact hot page set (4KB pages)."""
     curves = {}
     for workload in WORKLOAD_NAMES:
-        trace = make_workload(
-            workload, seed=SEED, dataset_scale=64 / SCALE
-        ).requests(FIG12_REQUESTS)
-        counts = access_counts_per_page(trace, page_size=4096)
+        _, counts = trace_analyses(workload)
         curves[workload] = (coverage_curve(counts, points=COVERAGE_POINTS), len(counts))
 
     rows = []

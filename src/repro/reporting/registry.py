@@ -53,6 +53,7 @@ from repro.exp.plugins import merge_plugins
 from repro.exp.runner import SweepProgress, SweepResult, SweepRunner
 from repro.exp.spec import ExperimentPoint, ExperimentSpec
 from repro.exp.store import ResultStore
+from repro.obs.spans import tracer
 
 _REGISTRY: Dict[str, "Figure"] = {}
 
@@ -281,7 +282,7 @@ def run_figure(
     backend is rejected: renderers read every grid point, so a partial
     sweep cannot render (shard a figure's grid with ``repro sweep
     --shard`` into shard stores, merge, then report from the merged
-    store).
+    store).  With tracing on, the render is one ``figure.render`` span.
     """
     figure = get_figure(name)
     if runner is None:
@@ -316,7 +317,8 @@ def run_figure(
             simulated=[p for p in points if p in combined.simulated],
         )
     context = FigureContext(figure, sweeps)
-    data = figure.render(context)
+    with tracer().span("figure.render", figure=name):
+        data = figure.render(context)
     missing = set(figure.artifacts) - {a.name for a in context.artifacts}
     if missing:
         raise RuntimeError(

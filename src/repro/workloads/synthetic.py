@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -62,6 +63,7 @@ class _ZipfSampler:
 
     _cache: "OrderedDict[Tuple[int, float], object]" = OrderedDict()
     _cache_max_entries = 32
+    _cache_lock = threading.Lock()
 
     def __init__(self, n: int, alpha: float) -> None:
         if n <= 0:
@@ -69,14 +71,18 @@ class _ZipfSampler:
         self.n = n
         self.alpha = alpha
         key = (n, round(alpha, 6))
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._build_cdf(n, alpha)
-            self._cache[key] = cached
-            if len(self._cache) > self._cache_max_entries:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(key)
+        # Serve runs jobs on threads: lookup, insert and evict are one
+        # critical section, or another thread's eviction can remove the
+        # key between ``get`` and ``move_to_end``.
+        with self._cache_lock:
+            cached = self._cache.get(key)
+            if cached is None:
+                cached = self._build_cdf(n, alpha)
+                self._cache[key] = cached
+                if len(self._cache) > self._cache_max_entries:
+                    self._cache.popitem(last=False)
+            else:
+                self._cache.move_to_end(key)
         self._cdf = cached
 
     @staticmethod

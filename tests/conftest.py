@@ -54,6 +54,21 @@ def write(address: int, pc: int = 0x400000, core: int = 0) -> MemoryRequest:
     return MemoryRequest(address=address, pc=pc, access_type=AccessType.WRITE, core_id=core)
 
 
+@pytest.fixture()
+def short_trace_analyses(monkeypatch):
+    """Figs. 4 and 12 over 2,000-request traces, with an empty memo.
+
+    The analysis memo is keyed by workload alone, so it is cleared on
+    both sides: no full-length result leaks in, no short one leaks out.
+    """
+    from repro.reporting import figures
+
+    monkeypatch.setattr(figures, "ANALYSIS_REQUESTS", 2000)
+    figures.trace_analyses.cache_clear()
+    yield figures
+    figures.trace_analyses.cache_clear()
+
+
 # ----------------------------------------------------------------------
 # Serve-stack + fault-injection harness (test_serve_api, test_distributed)
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.analysis.coverage import (
@@ -12,17 +13,35 @@ from repro.analysis.coverage import (
 from repro.analysis.page_density import (
     DENSITY_BUCKETS,
     PageDensityTracker,
+    density_bincount,
+    density_histogram,
     page_density_profile,
 )
 from repro.analysis.predictor_accuracy import AccuracyBreakdown, predictor_accuracy
 from repro.analysis.report import format_table, percent, stacked_bar_rows
-from repro.mem.request import MemoryRequest
-from repro.workloads.cloudsuite import make_workload
+from repro.exp import ResultStore
+from repro.mem.request import MemoryRequest, page_address
+from repro.reporting import figures, run_figure
+from repro.workloads.cloudsuite import WORKLOAD_NAMES, make_workload
+from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import materialize
 
 
 def request(addr):
     return MemoryRequest(address=addr)
+
+
+def column(requests):
+    """The int64 address column of a request list."""
+    return np.array([r.address for r in requests], dtype=np.int64)
+
+
+def reference_histogram(addresses, capacity_bytes, **geometry):
+    """PageDensityTracker's histogram over the same addresses."""
+    tracker = PageDensityTracker(capacity_bytes, **geometry)
+    for address in addresses:
+        tracker.observe(request(int(address)))
+    return tracker.finish()
 
 
 class TestPageDensity:
@@ -37,6 +56,13 @@ class TestPageDensity:
         tracker.observe(request(0))
         tracker.finish()
         assert tracker.histogram.count(1) == 1
+
+    def test_finish_is_idempotent(self):
+        tracker = PageDensityTracker(capacity_bytes=16 * 2048)
+        tracker.observe(request(0))
+        first = list(tracker.finish().items())
+        assert list(tracker.finish().items()) == first
+        assert tracker.histogram.total == 1
 
     def test_density_counts_unique_blocks(self):
         tracker = PageDensityTracker(capacity_bytes=16 * 2048)
@@ -72,11 +98,95 @@ class TestPageDensity:
             PageDensityTracker(capacity_bytes=1000)
 
 
+class TestDensityKernel:
+    """The column kernel Fig. 4 runs equals the per-request reference."""
+
+    def test_matches_reference_on_every_workload_and_capacity(self):
+        for workload in WORKLOAD_NAMES:
+            addresses = column(
+                make_workload(
+                    workload, seed=figures.SEED, dataset_scale=64 / figures.SCALE
+                ).requests(20_000)
+            )
+            for capacity in figures.CAPACITIES_MB:
+                capacity_bytes = capacity * figures.MB // figures.SCALE
+                bincount = density_bincount(addresses, capacity_bytes)
+                assert bincount[0] == 0
+                assert list(density_histogram(bincount).items()) == list(
+                    reference_histogram(addresses, capacity_bytes).items()
+                ), (workload, capacity)
+
+    @pytest.mark.parametrize(
+        "addresses, capacity_bytes, associativity, expected",
+        [
+            # 1 set x 2 ways: A0 B0 A1 C0 A2.  The touch of A makes B the
+            # LRU victim (FIFO would evict A); A ends with 3 blocks.
+            ([0, 2048, 64, 4096, 128], 2 * 2048, 2, {1: 2, 3: 1}),
+            # Direct-mapped, 4 sets: pages 0 and 4 share set 0.
+            ([0, 64, 4 * 2048, 2048 + 320], 4 * 2048, 1, {1: 2, 2: 1}),
+            # A revisited after eviction starts a fresh residency.
+            ([0, 64, 2048, 192], 2048, 1, {1: 2, 2: 1}),
+            # An empty column records nothing.
+            ([], 16 * 2048, 16, {}),
+        ],
+        ids=["lru-eviction-order", "direct-mapped", "revisit-after-eviction", "empty"],
+    )
+    def test_hand_made_cases(self, addresses, capacity_bytes, associativity, expected):
+        bincount = density_bincount(
+            np.array(addresses, dtype=np.int64), capacity_bytes,
+            associativity=associativity,
+        )
+        histogram = density_histogram(bincount)
+        assert dict(histogram.items()) == expected
+        reference = reference_histogram(
+            addresses, capacity_bytes, associativity=associativity
+        )
+        assert list(histogram.items()) == list(reference.items())
+
+    def test_invalid_geometry(self):
+        with pytest.raises(ValueError):
+            density_bincount(np.array([0], dtype=np.int64), capacity_bytes=1000)
+
+
+class TestTraceAnalysesMemo:
+    def test_figs_4_and_12_generate_each_trace_once(
+        self, short_trace_analyses, monkeypatch, tmp_path
+    ):
+        generated = Counter()
+        generate = SyntheticWorkload.requests
+
+        def counted(self, count):
+            generated[self.profile.name] += 1
+            return generate(self, count)
+
+        monkeypatch.setattr(SyntheticWorkload, "requests", counted)
+        store = ResultStore(str(tmp_path))
+        first = run_figure("fig04", store=store)
+        run_figure("fig12", store=store)
+        assert generated == Counter({workload: 1 for workload in WORKLOAD_NAMES})
+
+        # Figure data is rebuilt per render: mutating one render's data
+        # leaves the next render, served from the memo, untouched.
+        first.data["web_search"][64][0]["1 Block"] = -1.0
+        first.data.clear()
+        again = run_figure("fig04", store=store)
+        assert again.artifacts == first.artifacts
+        assert again.data["web_search"][64][0]["1 Block"] >= 0.0
+        assert sum(generated.values()) == len(WORKLOAD_NAMES)
+
+
 class TestCoverage:
     def test_access_counts(self):
-        counts = access_counts_per_page([request(0), request(64), request(4096)])
-        assert counts[0] == 2
-        assert counts[4096] == 1
+        # Page 0 is accessed twice, page 4096 once (ascending page order).
+        counts = access_counts_per_page([0, 64, 4096])
+        assert counts.tolist() == [2, 1]
+
+    def test_column_counts_match_per_request_counts(self):
+        trace = materialize(make_workload("web_frontend", seed=1).requests(5000))
+        counts = access_counts_per_page(column(trace))
+        reference = Counter(page_address(r.address, 4096) for r in trace)
+        assert len(counts) == len(reference)
+        assert sorted(counts.tolist()) == sorted(reference.values())
 
     def test_curve_monotonic(self):
         counts = Counter({i * 4096: 100 - i for i in range(100)})
@@ -104,13 +214,13 @@ class TestCoverage:
 
     def test_ideal_cache_size_for_coverage(self):
         trace = materialize(make_workload("web_search", seed=1).requests(5000))
-        size = ideal_cache_size_for_coverage(trace, coverage=0.5)
+        size = ideal_cache_size_for_coverage(column(trace), coverage=0.5)
         assert size > 0
 
     def test_scale_out_needs_large_fraction(self):
         """The Fig. 12 observation: no compact hot set — covering 80% of
         accesses needs a cache comparable to the touched footprint."""
-        trace = materialize(make_workload("data_serving", seed=1).requests(20_000))
+        trace = column(make_workload("data_serving", seed=1).requests(20_000))
         counts = access_counts_per_page(trace)
         total_footprint = len(counts) * 4096
         size80 = ideal_cache_size_for_coverage(trace, coverage=0.8)

@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro.__main__ import main
+from repro.exp import ResultStore
 from repro.obs.log import configure_logging, get_logger, verbosity
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -34,6 +35,8 @@ from repro.obs.spans import (
     validate_span,
 )
 from repro.obs.summarize import summarize_trace
+from repro.reporting import run_figure
+from repro.workloads.cloudsuite import WORKLOAD_NAMES
 
 
 @pytest.fixture()
@@ -164,6 +167,35 @@ class TestSpans:
         assert by_name["sweep.point"]["parent"] == by_name["sweep.execute"]["span"]
         assert by_name["sweep.point"]["duration"] == 0.0
         assert by_name["sweep.run"]["attrs"] == {"points": 2, "hits": 0}
+
+    def test_trace_analyses_and_renders_are_spans(
+        self, tmp_path, clean_obs, short_trace_analyses
+    ):
+        path = str(tmp_path / "analyses.ndjson")
+        configure_tracer(path, process="test")
+        store = ResultStore(str(tmp_path / "store"))
+        run_figure("fig04", store=store)
+        run_figure("fig12", store=store)
+        tracer().close()
+        schema = load_span_schema()
+        records = [json.loads(line) for line in open(path)]
+        for record in records:
+            assert validate_span(record, schema) == []
+        renders = {
+            r["span"]: r["attrs"]["figure"]
+            for r in records if r["name"] == "figure.render"
+        }
+        assert sorted(renders.values()) == ["fig04", "fig12"]
+        analyses = [r for r in records if r["name"] == "analysis.trace"]
+        assert sorted(r["attrs"]["workload"] for r in analyses) == sorted(
+            WORKLOAD_NAMES
+        )
+        for record in analyses:
+            # Fig. 4 generates and analyses each trace; Fig. 12 is served
+            # from the memo, which emits no span.
+            assert renders[record["parent"]] == "fig04"
+            assert record["attrs"]["requests"] == 2000
+            assert record["attrs"]["memo"] is False
 
     def test_validate_span_rejects_bad_records(self):
         schema = load_span_schema()

@@ -1,6 +1,8 @@
 """White-box tests of the synthetic trace engine's mechanisms."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -94,6 +96,38 @@ class TestZipfSampler:
         _ZipfSampler(10, 0.5)  # touch: becomes most-recently-used
         _ZipfSampler(999, 0.5)  # evicts the oldest, which is no longer (10, .5)
         assert (10, 0.5) in _ZipfSampler._cache
+
+    def test_concurrent_construction_over_more_keys_than_the_cache(self):
+        """Threads that cycle through more (n, alpha) pairs than the cache
+        holds evict each other's keys; a lookup must never see its key
+        vanish between the hit and the LRU touch."""
+        _ZipfSampler._cache.clear()
+        sizes = range(2, 2 + _ZipfSampler._cache_max_entries + 8)
+        errors = []
+
+        def construct(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(4000):
+                    _ZipfSampler(rng.choice(sizes), 0.8)
+            except Exception as error:  # noqa: BLE001 - collected for the assert
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=construct, args=(i,)) for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(_ZipfSampler._cache) == _ZipfSampler._cache_max_entries
 
 
 class TestFootprintMemo:
