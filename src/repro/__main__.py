@@ -835,26 +835,6 @@ def _run_store(args) -> int:
             ("reclaimable", str(stats.reclaimable)),
         ]
         print(format_table(("metric", "value"), rows, title=f"Store {stats.path}"))
-
-        from repro.workloads.trace import shared_trace_cache
-
-        cache = shared_trace_cache().stats()
-        hit_rate = cache["hit_rate"]
-        cache_rows = [
-            ("entries", f"{cache['entries']} / {cache['max_entries']}"),
-            ("hits / misses", f"{cache['hits']} / {cache['misses']}"),
-            ("hit rate", percent(hit_rate) if hit_rate is not None else "-"),
-            ("evictions", str(cache["evictions"])),
-            ("cached requests", str(cache["cached_requests"])),
-            ("resident bytes", str(cache["resident_bytes"])),
-        ]
-        print()
-        print(
-            format_table(
-                ("metric", "value"), cache_rows,
-                title="Trace cache (this process)",
-            )
-        )
         return 0
 
     if args.action == "gc":

@@ -80,8 +80,8 @@ class MemoryRequest:
         the trace generators do by construction.  The returned request is
         indistinguishable from one built normally (same fields, equality,
         ``dataclasses.asdict``); only the per-request validation cost is
-        gone, which matters when a materialized trace is replayed through
-        several designs.
+        gone, which matters because the generator and the reference
+        loop's lazy view of a columnar trace build one object per request.
         """
         self = object.__new__(cls)
         d = self.__dict__

@@ -112,7 +112,7 @@ class SimulationService:
             ("hits", "trace cache hits since process start"),
             ("misses", "trace cache misses since process start"),
             ("evictions", "trace cache LRU evictions since process start"),
-            ("cached_requests", "materialised requests resident in the cache"),
+            ("cached_requests", "requests resident in the cache"),
             ("resident_bytes", "columnar bytes resident in the cache"),
         ):
             reg.gauge(f"repro_trace_cache_{name}", help_text).set(stats[name])

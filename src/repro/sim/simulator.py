@@ -10,16 +10,24 @@ design for an apples-to-apples comparison.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, Optional, Sequence
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.caches.base import DramCache
 from repro.core.footprint_cache import FootprintCache
 from repro.mem.request import BLOCK_SIZE, MemoryRequest
 from repro.perf.timing_model import PerformanceModel, PerformanceResult
 from repro.sim.config import SimulationConfig
-from repro.sim.system import System, build_system
+from repro.sim.system import build_system
 from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.trace import max_cached_requests, shared_trace_cache
+from repro.workloads.trace import Trace, shared_trace_cache
+
+#: What ``Simulator.run(trace=...)`` accepts.
+Requests = Union[Trace, Iterable[MemoryRequest]]
+
+#: Requests per columnar chunk when a run streams its requests instead
+#: of replaying one cached window (see ``Simulator._windows``).
+STREAM_CHUNK_REQUESTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,83 +118,90 @@ class SimulationResult:
 class Simulator:
     """Run one :class:`SimulationConfig` to completion."""
 
-    def __init__(
-        self,
-        config: SimulationConfig,
-        system: Optional[System] = None,
-    ) -> None:
+    def __init__(self, config: SimulationConfig) -> None:
         self.config = config
-        # A system the simulator built itself has a pristine workload
-        # generator, so replays can be served from the shared trace cache
-        # with exact continuation semantics; an externally built system
-        # may have been consumed already and keeps the generator path.
-        self._private_system = system is None
+        # Where the next run's window starts in the workload's
+        # deterministic request stream: repeated runs continue it.
         self._stream_position = 0
         # Whether a batch kernel replayed the last run() (False: the
         # scalar reference loop did).
         self.used_kernel = False
-        self.system = system or build_system(config)
+        self.system = build_system(config)
         self.perf = PerformanceModel(
             num_cores=config.system.num_cores,
             base_cpi=config.system.base_cpi,
             exposed_latency_fraction=config.system.exposed_latency_fraction,
         )
 
-    def _claim_cached_segment(self, count: int) -> Optional[int]:
-        """Claim the next ``count`` requests from the shared trace cache.
+    def _windows(
+        self, trace: Optional[Requests] = None
+    ) -> Iterator[Tuple[Trace, int, int]]:
+        """This run's requests, claimed once, as ``(trace, start, stop)`` windows.
 
-        Returns the segment's start in the deterministic request stream
-        and advances the stream position past it, or returns None when
-        this run must stream from the system's own generator instead:
-        externally built systems, non-synthetic workloads, a disabled
-        cache (``REPRO_TRACE_CACHE=0`` means *streaming*: materialising
-        per run would cost more than caching), and paper-sized traces
-        (materialising them would pin hundreds of MB).  The choice is
-        sticky per simulator: once a run was served from the cache,
-        continuations must come from the same stream.
-        """
-        if (
-            self._private_system
-            and isinstance(self.system.workload, SyntheticWorkload)
-            and shared_trace_cache().max_entries > 0
-            and (self._stream_position > 0 or count <= max_cached_requests())
-        ):
-            start = self._stream_position
-            self._stream_position = start + count
-            return start
-        return None
-
-    def _stream(self, count: int) -> Iterable[MemoryRequest]:
-        """The next ``count`` workload requests, via the shared trace cache.
-
-        The cache serves segment ``[position, position + count)`` of the
-        deterministic request stream — value-identical to what the
-        system's own generator would produce — so one materialised trace
+        A :class:`Trace` is replayed in place, up to
+        ``config.num_requests``.  Otherwise one shared-trace-cache call
+        claims the next ``num_requests`` of the workload's deterministic
+        stream and advances the stream position past them, so one trace
         is shared by every design (and every simulator) replaying the
-        same (profile, seed, page size).
-        """
-        workload = self.system.workload
-        start = self._claim_cached_segment(count)
-        if start is None:
-            return workload.requests(count)
-        return shared_trace_cache().requests(
-            workload.profile,
-            self.config.seed,
-            workload.page_size,
-            count,
-            start=start,
-            block_size=workload.block_size,
-        )
+        same (profile, seed, page size).  Both are a single window.
 
-    def run(self, trace: Optional[Sequence[MemoryRequest]] = None) -> SimulationResult:
+        Everything else streams, ``STREAM_CHUNK_REQUESTS`` at a time, so
+        its memory stays bounded by one chunk of columns: an explicit
+        list or iterator (an iterator is consumed exactly
+        ``num_requests`` deep), and a run longer than the cache's whole
+        budget, which would otherwise hold its full window and evict
+        every other trace.  Such a run generates its requests from a
+        private generator, outside the cache lock.
+        """
+        limit = self.config.num_requests
+        if isinstance(trace, Trace):
+            yield trace, 0, min(limit, len(trace))
+            return
+        if trace is None:
+            workload = self.system.workload
+            start = self._stream_position
+            self._stream_position = start + limit
+            cache = shared_trace_cache()
+            if limit <= cache.max_total_requests:
+                window = cache.columnar(
+                    workload.profile,
+                    self.config.seed,
+                    workload.page_size,
+                    limit,
+                    start=start,
+                    block_size=workload.block_size,
+                )
+                yield window, start, start + limit
+                return
+            generator = SyntheticWorkload(
+                workload.profile,
+                seed=self.config.seed,
+                page_size=workload.page_size,
+                block_size=workload.block_size,
+            )
+            # A continuation regenerates, and skips, the stream's prefix.
+            trace = islice(generator.requests(start + limit), start, None)
+        requests = iter(trace)
+        remaining = limit
+        while remaining:
+            chunk = Trace.from_requests(
+                requests, min(remaining, STREAM_CHUNK_REQUESTS)
+            )
+            if not len(chunk):
+                return
+            remaining -= len(chunk)
+            yield chunk, 0, len(chunk)
+
+    def run(self, trace: Optional[Requests] = None) -> SimulationResult:
         """Replay the workload (or an explicit ``trace``) and summarise.
 
-        With an explicit trace, ``config.num_requests`` still bounds how
-        many requests are consumed and the warm-up split applies the same
-        way.  The design and configuration pick the replay path: a NumPy
-        batch kernel where :func:`repro.vector.kernels.build_kernel` has
-        one, the scalar reference loop otherwise.  The result is
-        identical either way (the byte-parity gate).
+        With an explicit trace (a list, an iterator or a :class:`Trace`),
+        ``config.num_requests`` still bounds how many requests are
+        consumed and the warm-up split applies the same way.  The design
+        and configuration pick the replay path: a NumPy batch kernel
+        where :func:`repro.vector.kernels.build_kernel` has one, the
+        scalar reference loop otherwise.  The result is identical either
+        way (the byte-parity gate).
         """
         # Imported at the first replay, not with this module: building
         # configs, systems and stores never needs the kernels.
@@ -194,16 +209,13 @@ class Simulator:
 
         return replay(self, trace)
 
-    def _run_reference(
-        self, trace: Optional[Sequence[MemoryRequest]] = None
-    ) -> SimulationResult:
+    def _run_reference(self, trace: Optional[Requests] = None) -> SimulationResult:
         """The scalar reference loop: one request object at a time."""
         # Requests enter at the system's frontend: the DRAM cache itself,
         # or the extra-L2 slice in front of it (Section 6.3).  Statistics
         # are summarised at the DRAM cache level either way.
         perf = self.perf
         warmup = self.config.warmup_requests
-        limit = self.config.num_requests
 
         # Reset explicitly before replaying anything: the measured window
         # then always starts from a known state, whether warm-up completes
@@ -213,12 +225,6 @@ class Simulator:
         self.system.reset_stats()
         perf.start_measurement()
         measuring = warmup == 0
-
-        requests: Iterable[MemoryRequest]
-        if trace is None:
-            requests = self._stream(limit)
-        else:
-            requests = iter(trace)
 
         # The replay loop is the hottest code in the repo: everything it
         # touches per request is bound to a local, and the per-core time
@@ -233,22 +239,21 @@ class Simulator:
         exposed = perf.exposed_latency_fraction
         processed = 0
         instructions = 0
-        for request in requests:
-            if processed == warmup and not measuring:
-                perf._instructions += instructions
-                instructions = 0
-                self.system.reset_stats()
-                perf.start_measurement()
-                measuring = True
-            core = request.core_id % num_cores
-            result = access(request, int(core_time[core]))
-            core_time[core] += (
-                request.instruction_count * base_cpi + result.latency * exposed
-            )
-            instructions += request.instruction_count
-            processed += 1
-            if processed >= limit:
-                break
+        for window, start, stop in self._windows(trace):
+            for request in window.requests(start, stop):
+                if processed == warmup and not measuring:
+                    perf._instructions += instructions
+                    instructions = 0
+                    self.system.reset_stats()
+                    perf.start_measurement()
+                    measuring = True
+                core = request.core_id % num_cores
+                result = access(request, int(core_time[core]))
+                core_time[core] += (
+                    request.instruction_count * base_cpi + result.latency * exposed
+                )
+                instructions += request.instruction_count
+                processed += 1
         perf._instructions += instructions
 
         measured = processed - warmup if measuring else processed

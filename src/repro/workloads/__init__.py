@@ -25,7 +25,6 @@ from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import (
     Trace,
     TraceCache,
-    materialize,
     shared_trace_cache,
     trace_statistics,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "SyntheticWorkload",
     "Trace",
     "TraceCache",
-    "materialize",
     "shared_trace_cache",
     "trace_statistics",
 ]

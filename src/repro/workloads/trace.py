@@ -1,19 +1,19 @@
-"""Trace helpers: materialisation, the shared trace cache, and statistics.
+"""Trace helpers: columnar traces, the shared trace cache, and statistics.
 
 The paper's methodology replays the *same* trace through every cache
-design (Section 5.4).  Pre-materialising that trace once and sharing it
-across designs is therefore both a fidelity and a performance feature:
+design (Section 5.4).  Generating that trace once and sharing it across
+designs is therefore both a fidelity and a performance feature:
 
-* :class:`Trace` is a compact columnar materialisation — parallel arrays
-  of address/pc/type/core/icount — that rebuilds
-  :class:`~repro.mem.request.MemoryRequest` objects once (via the
-  validation-free fast constructor) and shares them across replays.
+* :class:`Trace` is the one stored form of a request stream: parallel
+  arrays of address/pc/type/core/icount.  The batch kernels read its
+  columns; the scalar reference loop asks it for request objects, which
+  it builds lazily and keeps none of.
 * :class:`TraceCache` is a bounded per-process LRU over
   ``(profile, seed, page_size, block_size)`` generator identities.  A
   figure grid that replays one workload through six designs generates the
   trace once; the other five replays are served from memory.  Entries
   extend on demand (longer traces reuse the shorter prefix) and serve
-  arbitrary ``[start, start+n)`` segments of the infinite deterministic
+  arbitrary ``[start, start+n)`` windows of the infinite deterministic
   request stream.
 
 Correctness invariant (see ARCHITECTURE.md): the cache may never change
@@ -25,61 +25,43 @@ every stored result.
 
 from __future__ import annotations
 
-import os
 import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mem.request import AccessType, MemoryRequest, page_address
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.synthetic import SyntheticWorkload
 
+#: Traces the shared cache holds: one figure grid's six workloads fit.
+MAX_ENTRIES = 8
 
-def materialize(
-    requests: Iterable[MemoryRequest], limit: Optional[int] = None
-) -> List[MemoryRequest]:
-    """Collect up to ``limit`` requests into a list (all, if None).
+#: Requests the shared cache holds across all entries (about 27 bytes
+#: each, so roughly 54 MB); least-recently-used entries go first.  A
+#: simulator run longer than this never enters the cache: it streams.
+MAX_TOTAL_REQUESTS = 2_000_000
 
-    Benches materialise once and replay the identical trace against every
-    design, matching the paper's trace-driven methodology (Section 5.4).
-    """
-    if limit is None:
-        return list(requests)
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
-    out: List[MemoryRequest] = []
-    for request in requests:
-        if len(out) >= limit:
-            break
-        out.append(request)
-    return out
+# Requests per column slice when request objects are built lazily.
+_VIEW_CHUNK = 1 << 12
 
 
-class Trace(Sequence):
-    """A materialised request stream in columnar form.
+class Trace:
+    """A request stream in columnar form.
 
     Five parallel arrays hold one field each (address, pc, write flag,
-    core id, instruction count): compact to hold, cheap to hash or slice,
-    and independent of request-object identity.  :meth:`requests`
-    materialises the corresponding :class:`MemoryRequest` objects once
-    and memoises them, so replaying one trace through many designs
-    constructs each request object a single time.
+    core id, instruction count), about 27 bytes per request.
+    :meth:`requests` builds fresh :class:`MemoryRequest` objects for a
+    window on demand and keeps none of them.
 
     Instances are conceptually immutable; only the owning
     :class:`TraceCache` entry appends to a trace (to extend it), which
-    never disturbs previously served prefixes.
+    never disturbs previously served windows.
     """
 
-    __slots__ = (
-        "addresses",
-        "pcs",
-        "writes",
-        "core_ids",
-        "instruction_counts",
-        "_requests",
-    )
+    __slots__ = ("addresses", "pcs", "writes", "core_ids", "instruction_counts")
 
     def __init__(self) -> None:
         self.addresses = array("q")
@@ -87,15 +69,14 @@ class Trace(Sequence):
         self.writes = array("b")
         self.core_ids = array("h")
         self.instruction_counts = array("q")
-        self._requests: List[MemoryRequest] = []
 
     @classmethod
     def from_requests(
         cls, requests: Iterable[MemoryRequest], limit: Optional[int] = None
     ) -> "Trace":
-        """Materialise ``requests`` (up to ``limit``) into columns."""
+        """Columns of ``requests``, consuming at most ``limit`` of them."""
         trace = cls()
-        trace._extend(requests if limit is None else _bounded(requests, limit))
+        trace._extend(requests if limit is None else islice(requests, limit))
         return trace
 
     def _extend(self, requests: Iterable[MemoryRequest]) -> None:
@@ -112,63 +93,35 @@ class Trace(Sequence):
             append_core(request.core_id)
             append_icount(request.instruction_count)
 
-    def requests(self, start: int = 0, stop: Optional[int] = None) -> List[MemoryRequest]:
-        """The materialised request objects for ``[start, stop)``.
+    def requests(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> Iterator[MemoryRequest]:
+        """Fresh request objects for ``[start, stop)``, built lazily.
 
-        Objects are built once per trace and shared between callers (and
-        therefore between designs replaying the same trace); requests are
-        frozen, so sharing is safe.
+        Objects are made a slice of columns at a time.  Slices copy, so
+        the view never pins the buffers of a trace that a cache entry
+        may still grow.
         """
         if stop is None:
             stop = len(self.addresses)
-        self._materialize_to(stop)
-        return self._requests[start:stop]
-
-    def _materialize_to(self, stop: int) -> None:
-        built = len(self._requests)
-        if stop <= built:
-            return
         make = MemoryRequest.fast
-        read, write = AccessType.READ, AccessType.WRITE
-        addresses = self.addresses
-        pcs = self.pcs
-        writes = self.writes
-        core_ids = self.core_ids
-        icounts = self.instruction_counts
-        append = self._requests.append
-        for i in range(built, stop):
-            append(
-                make(
-                    addresses[i],
-                    pcs[i],
-                    write if writes[i] else read,
-                    core_ids[i],
-                    icounts[i],
-                )
+        access_type = (AccessType.READ, AccessType.WRITE).__getitem__
+        for begin in range(start, stop, _VIEW_CHUNK):
+            end = min(begin + _VIEW_CHUNK, stop)
+            yield from map(
+                make,
+                self.addresses[begin:end],
+                self.pcs[begin:end],
+                map(access_type, self.writes[begin:end]),
+                self.core_ids[begin:end],
+                self.instruction_counts[begin:end],
             )
 
     def __len__(self) -> int:
         return len(self.addresses)
 
-    def __getitem__(self, index):
-        length = len(self.addresses)
-        if isinstance(index, slice):
-            start, stop, step = index.indices(length)
-            # Materialise only up to the highest index the slice touches.
-            bound = max(start + 1, stop) if step > 0 else start + 1
-            self._materialize_to(min(bound, length))
-            return self._requests[index]
-        if index < 0:
-            index += length
-        if not 0 <= index < length:
-            raise IndexError("trace index out of range")
-        return self.requests(index, index + 1)[0]
-
-    def __iter__(self):
-        return iter(self.requests())
-
     def nbytes(self) -> int:
-        """Approximate size of the columnar storage in bytes."""
+        """Size of the columnar storage in bytes."""
         return sum(
             column.itemsize * len(column)
             for column in (
@@ -184,15 +137,6 @@ class Trace(Sequence):
         return f"Trace(n={len(self)}, columnar={self.nbytes()} bytes)"
 
 
-def _bounded(requests: Iterable[MemoryRequest], limit: int):
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
-    for index, request in enumerate(requests):
-        if index >= limit:
-            break
-        yield request
-
-
 class _TraceEntry:
     """One cached generator identity: the live workload plus its trace."""
 
@@ -203,7 +147,7 @@ class _TraceEntry:
         self.trace = Trace()
 
     def extend_to(self, length: int) -> None:
-        """Grow the materialised stream to at least ``length`` requests.
+        """Grow the stored stream to at least ``length`` requests.
 
         The workload generator is consumed exactly in stream order, so a
         grown entry holds precisely the requests a single
@@ -218,7 +162,7 @@ TraceKey = Tuple[WorkloadProfile, int, int, int]
 
 
 class TraceCache:
-    """Bounded per-process LRU of materialised traces.
+    """Bounded per-process LRU of columnar traces.
 
     Keyed by the full generator identity — the *resolved*
     :class:`~repro.workloads.profiles.WorkloadProfile` (a frozen value
@@ -226,7 +170,7 @@ class TraceCache:
     stale trace), the seed, the page size the trace is shaped for, and
     the block size.  Entries hold the live generator and extend on
     demand: a request for a longer trace reuses the shorter prefix, and
-    segment serving (``start > 0``) gives simulators exact continuation
+    windows starting past 0 give simulators exact continuation
     semantics across repeated runs.
 
     The cache is transparent by construction: it stores what the
@@ -240,15 +184,11 @@ class TraceCache:
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
-        max_total_requests: Optional[int] = None,
+        max_entries: int = MAX_ENTRIES,
+        max_total_requests: int = MAX_TOTAL_REQUESTS,
     ) -> None:
-        if max_entries is None:
-            max_entries = _default_max_entries()
-        if max_entries < 0:
-            raise ValueError("max_entries must be non-negative")
-        if max_total_requests is None:
-            max_total_requests = _default_max_total_requests()
+        if max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
         if max_total_requests < 0:
             raise ValueError("max_total_requests must be non-negative")
         self.max_entries = max_entries
@@ -265,10 +205,8 @@ class TraceCache:
     def stats(self) -> dict:
         """Counters + occupancy: hits, misses, evictions, resident bytes.
 
-        ``resident_bytes`` is the columnar storage only (the memoised
-        request objects cost ~250B each on top; ``cached_requests``
-        bounds those).  Surfaced by ``repro store stats`` and, at scrape
-        time, by the serve layer's ``/metrics`` endpoints.
+        Surfaced, at scrape time, by the serve layer's ``/metrics``
+        endpoints.
         """
         with self._lock:
             return {
@@ -291,7 +229,7 @@ class TraceCache:
 
     @property
     def cached_requests(self) -> int:
-        """Total materialised requests across all entries."""
+        """Total stored requests across all entries."""
         return sum(len(entry.trace) for entry in self._entries.values())
 
     def _entry(
@@ -319,6 +257,38 @@ class TraceCache:
             self._entries.move_to_end(key)
         return entry
 
+    def columnar(
+        self,
+        profile: WorkloadProfile,
+        seed: int,
+        page_size: int,
+        num_requests: int,
+        start: int = 0,
+        block_size: int = 64,
+    ) -> Trace:
+        """The trace holding window ``[start, start + num_requests)``.
+
+        The stream is generated, under the cache lock, up to the end of
+        the window.  The returned :class:`Trace` is the live cache
+        entry's, which other threads may extend at any time: callers
+        must treat it as read-only and must not hold a buffer export of
+        its columns (a memoryview or ``np.frombuffer`` view), since an
+        ``array`` cannot grow while one exists.  Copy slices instead
+        (``column[a:b]``).
+        """
+        if num_requests < 0 or start < 0:
+            raise ValueError("start and num_requests must be non-negative")
+        with self._lock:
+            entry = self._entry(profile, seed, page_size, block_size)
+            entry.extend_to(start + num_requests)
+            # Continuation growth is unbounded otherwise.  The entry just
+            # served may be evicted too (it outgrew the whole budget);
+            # the caller keeps its trace reference.
+            while self._entries and self.cached_requests > self.max_total_requests:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+            return entry.trace
+
     def requests(
         self,
         profile: WorkloadProfile,
@@ -330,137 +300,18 @@ class TraceCache:
     ) -> List[MemoryRequest]:
         """Requests ``[start, start + num_requests)`` of the stream.
 
-        The returned list shares request objects with every other caller
-        of the same trace; requests are frozen, so sharing is safe.  With
-        ``max_entries == 0`` the cache is disabled and requests are
-        generated fresh (still through the columnar path, so the call
-        remains exact).
+        An object view over :meth:`columnar`, with the same keying,
+        accounting and budget; every call builds fresh objects.
         """
-        if num_requests < 0 or start < 0:
-            raise ValueError("start and num_requests must be non-negative")
-        with self._lock:
-            if self.max_entries == 0:
-                self.misses += 1
-                workload = SyntheticWorkload(
-                    profile, seed=seed, page_size=page_size, block_size=block_size
-                )
-                trace = Trace.from_requests(workload.requests(start + num_requests))
-                return trace.requests(start, start + num_requests)
-            entry = self._entry(profile, seed, page_size, block_size)
-            entry.extend_to(start + num_requests)
-            served = entry.trace.requests(start, start + num_requests)
-            # Memory budget: materialised requests cost far more than
-            # their columnar bytes (each is a dict-bearing frozen
-            # dataclass, roughly 250B), so the cache enforces a *total*
-            # request budget, LRU-first.  The just-served entry may be
-            # evicted too (a continuation grown past the whole budget);
-            # the caller keeps its served list, and any future segment
-            # regenerates bit-identically.
-            while self._entries and self.cached_requests > self.max_total_requests:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            return served
-
-    def columnar(
-        self,
-        profile: WorkloadProfile,
-        seed: int,
-        page_size: int,
-        num_requests: int,
-        start: int = 0,
-        block_size: int = 64,
-    ) -> Trace:
-        """The columnar trace backing stream ``[0, start + num_requests)``.
-
-        Same keying, hit/miss accounting, extension and eviction budget as
-        :meth:`requests`, but without materialising request *objects*: the
-        batch kernels read the columns directly, so serving it must not
-        pay the ~250B/request object cost.  The returned :class:`Trace`
-        is the live cache entry's, which other threads may extend at any
-        time: callers must treat it as read-only and must not hold a
-        buffer export of its columns (a memoryview or ``np.frombuffer``
-        view) beyond the call that takes it, since an ``array`` cannot
-        grow while one exists.  Copy slices instead (``column[a:b]``).
-        """
-        if num_requests < 0 or start < 0:
-            raise ValueError("start and num_requests must be non-negative")
-        with self._lock:
-            if self.max_entries == 0:
-                self.misses += 1
-                workload = SyntheticWorkload(
-                    profile, seed=seed, page_size=page_size, block_size=block_size
-                )
-                return Trace.from_requests(workload.requests(start + num_requests))
-            entry = self._entry(profile, seed, page_size, block_size)
-            entry.extend_to(start + num_requests)
-            trace = entry.trace
-            # Columnar bytes are an order of magnitude cheaper than
-            # request objects, but the budget still applies: continuation
-            # growth is unbounded otherwise.  The caller keeps its trace
-            # reference even if the entry is evicted here.
-            while self._entries and self.cached_requests > self.max_total_requests:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            return trace
-
-    def trace(
-        self,
-        profile: WorkloadProfile,
-        seed: int,
-        page_size: int,
-        num_requests: int,
-        block_size: int = 64,
-    ) -> Trace:
-        """A columnar snapshot of the first ``num_requests`` requests."""
-        return Trace.from_requests(
-            self.requests(profile, seed, page_size, num_requests, block_size=block_size)
+        trace = self.columnar(
+            profile, seed, page_size, num_requests, start=start, block_size=block_size
         )
+        return list(trace.requests(start, start + num_requests))
 
     def clear(self) -> None:
         """Drop every entry (testing / memory pressure)."""
         with self._lock:
             self._entries.clear()
-
-
-def _env_int(name: str, default: int) -> int:
-    """A non-negative int from the environment, or ``default``."""
-    override = os.environ.get(name)
-    if override:
-        try:
-            return max(0, int(override))
-        except ValueError:
-            pass
-    return default
-
-
-def _default_max_entries() -> int:
-    """Cache bound: ``$REPRO_TRACE_CACHE`` (entries; 0 disables) or 4."""
-    return _env_int("REPRO_TRACE_CACHE", 4)
-
-
-def max_cached_requests() -> int:
-    """Streams longer than this stay on the generator path.
-
-    Materialising a trace costs memory proportional to its length — and
-    dominated by the memoised request *objects* (~250B each, an order
-    of magnitude over the ~33B/request columnar arrays), so a 1M-request
-    trace pins roughly 280MB.  Figure grids top out around 500k
-    requests; paper-sized runs (``SimulationConfig.full_scale``,
-    millions of requests) keep the pre-existing streaming generator
-    path.  Override with ``$REPRO_TRACE_CACHE_MAX_REQUESTS``.
-    """
-    return _env_int("REPRO_TRACE_CACHE_MAX_REQUESTS", 1_000_000)
-
-
-def _default_max_total_requests() -> int:
-    """Total-request budget across all cache entries.
-
-    Caps a process's materialised-trace memory at roughly
-    ``budget x 280B`` (~560MB at the 2M default) regardless of entry
-    count or continuation growth; LRU entries are dropped to stay under
-    it.  Override with ``$REPRO_TRACE_CACHE_MAX_TOTAL_REQUESTS``.
-    """
-    return _env_int("REPRO_TRACE_CACHE_MAX_TOTAL_REQUESTS", 2_000_000)
 
 
 _SHARED = TraceCache()
@@ -500,7 +351,7 @@ class TraceStatistics:
 def trace_statistics(
     requests: Sequence[MemoryRequest], page_size: int = 2048
 ) -> TraceStatistics:
-    """Compute :class:`TraceStatistics` over a materialised trace."""
+    """Compute :class:`TraceStatistics` over a list of requests."""
     pages = set()
     blocks = set()
     pcs = set()

@@ -24,7 +24,6 @@ from repro.mem.request import MemoryRequest, page_address
 from repro.reporting import figures, run_figure
 from repro.workloads.cloudsuite import WORKLOAD_NAMES, make_workload
 from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.trace import materialize
 
 
 def request(addr):
@@ -88,7 +87,7 @@ class TestPageDensity:
         assert sum(tracker.bucket_fractions().values()) == pytest.approx(1.0)
 
     def test_profile_function(self):
-        trace = materialize(make_workload("web_search", seed=1).requests(5000))
+        trace = list(make_workload("web_search", seed=1).requests(5000))
         profile = page_density_profile(trace, capacity_bytes=64 * 2048)
         assert set(profile) == {label for _, _, label in DENSITY_BUCKETS}
         assert sum(profile.values()) == pytest.approx(1.0)
@@ -182,7 +181,7 @@ class TestCoverage:
         assert counts.tolist() == [2, 1]
 
     def test_column_counts_match_per_request_counts(self):
-        trace = materialize(make_workload("web_frontend", seed=1).requests(5000))
+        trace = list(make_workload("web_frontend", seed=1).requests(5000))
         counts = access_counts_per_page(column(trace))
         reference = Counter(page_address(r.address, 4096) for r in trace)
         assert len(counts) == len(reference)
@@ -213,7 +212,7 @@ class TestCoverage:
             coverage_curve(Counter(), points=(0.5,))
 
     def test_ideal_cache_size_for_coverage(self):
-        trace = materialize(make_workload("web_search", seed=1).requests(5000))
+        trace = list(make_workload("web_search", seed=1).requests(5000))
         size = ideal_cache_size_for_coverage(column(trace), coverage=0.5)
         assert size > 0
 

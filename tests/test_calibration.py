@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.page_density import PageDensityTracker
 from repro.workloads.cloudsuite import WORKLOAD_NAMES, make_workload
-from repro.workloads.trace import materialize, trace_statistics
+from repro.workloads.trace import trace_statistics
 
 MB = 1024 * 1024
 N = 40_000
@@ -18,7 +18,7 @@ N = 40_000
 @pytest.fixture(scope="module")
 def traces():
     return {
-        name: materialize(make_workload(name, seed=0, dataset_scale=0.25).requests(N))
+        name: list(make_workload(name, seed=0, dataset_scale=0.25).requests(N))
         for name in WORKLOAD_NAMES
     }
 

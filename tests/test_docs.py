@@ -54,6 +54,23 @@ def test_checker_catches_bad_flags_and_values():
         sys.path.remove(os.path.join(REPO_ROOT, "src"))
 
 
+def test_checker_catches_stale_env_vars():
+    """A doc may only name REPRO_* variables that the code reads."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+    try:
+        from check_docs import env_vars_read, stale_env_vars
+
+        known = env_vars_read(REPO_ROOT)
+        assert {"REPRO_RESULT_STORE", "REPRO_TRACE", "REPRO_BENCH_JOBS"} <= known
+        text = (
+            "Point `$REPRO_RESULT_STORE` at a scratch store.\n"
+            "Set `$REPRO_IMAGINARY_KNOB=0` to turn it off.\n"
+        )
+        assert list(stale_env_vars(text, known)) == [(2, "REPRO_IMAGINARY_KNOB")]
+    finally:
+        sys.path.remove(os.path.join(REPO_ROOT, "tools"))
+
+
 def test_checker_validates_worker_flags_and_coordinator_routes():
     """The distributed surface is held to the same standard.
 

@@ -391,9 +391,3 @@ class TestCli:
         assert "1 points in" in out
         assert "Sweep over" not in out
         assert "[1/1]" not in out
-
-    def test_store_stats_shows_trace_cache(self, tmp_path, capsys):
-        assert main(["store", "stats", "--store", str(tmp_path / "s")]) == 0
-        out = capsys.readouterr().out
-        assert "Trace cache" in out
-        assert "resident bytes" in out

@@ -1,10 +1,11 @@
-"""Determinism tests for the shared materialized-trace fast path.
+"""Determinism tests for the shared columnar trace cache.
 
 The trace cache (:mod:`repro.workloads.trace`) is a pure optimization: a
 request stream served cold, from a warm cache, as a longer trace's
-prefix, inside a worker process, or through ``Simulator.run(trace=...)``
-must be value-identical to what the live generator would produce.  These
-tests pin that invariant — the byte-parity gate in CI depends on it.
+prefix, as windows of a continued stream, inside a worker process, or
+through ``Simulator.run(trace=...)`` must be value-identical to what the
+live generator would produce.  These tests pin that invariant — the
+byte-parity gate in CI depends on it.
 """
 
 import dataclasses
@@ -15,7 +16,11 @@ import pytest
 from repro.mem.request import AccessType, MemoryRequest
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
-from repro.workloads.cloudsuite import make_workload
+import repro.sim.simulator as simulator_module
+import repro.vector.engine as vector_engine
+import repro.workloads.trace as trace_module
+from repro.workloads.cloudsuite import WORKLOAD_NAMES, make_workload
+from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import Trace, TraceCache, shared_trace_cache
 
 
@@ -25,6 +30,7 @@ def fresh_stream(n, seed=0, page_size=2048, workload="web_search"):
 
 def profile_of(workload="web_search"):
     return make_workload(workload).profile
+
 
 
 class TestFastConstructor:
@@ -47,25 +53,24 @@ class TestTraceColumns:
         stream = fresh_stream(400)
         trace = Trace.from_requests(stream)
         assert len(trace) == 400
-        assert list(trace) == stream
-        assert trace.requests() == stream
+        assert list(trace.requests()) == stream
         assert list(trace.addresses) == [r.address for r in stream]
         assert list(trace.writes) == [1 if r.is_write else 0 for r in stream]
 
-    def test_request_objects_shared_across_calls(self):
-        trace = Trace.from_requests(fresh_stream(50))
-        assert trace.requests()[7] is trace.requests()[7]
-
     def test_limit(self):
-        trace = Trace.from_requests(fresh_stream(50), limit=20)
+        stream = fresh_stream(50)
+        source = iter(stream)
+        trace = Trace.from_requests(source, limit=20)
         assert len(trace) == 20
+        assert next(source) == stream[20]  # consumed exactly `limit` deep
 
     def test_indexing(self):
         stream = fresh_stream(30)
         trace = Trace.from_requests(stream)
-        assert trace[5] == stream[5]
-        assert trace[-1] == stream[-1]
-        assert trace[3:7] == stream[3:7]
+        assert list(trace.requests(5, 6)) == stream[5:6]
+        assert list(trace.requests(29, 30)) == stream[-1:]
+        assert list(trace.requests(3, 7)) == stream[3:7]
+        assert list(trace.requests(7, 7)) == []
 
 
 class TestTraceCacheDeterminism:
@@ -81,8 +86,6 @@ class TestTraceCacheDeterminism:
         warm = cache.requests(profile_of(), 3, 2048, 500)
         assert warm == cold
         assert cache.hits == 1
-        # Warm serving reuses the very same request objects.
-        assert warm[0] is cold[0]
 
     def test_prefix_of_longer_trace(self):
         cache = TraceCache(max_entries=4)
@@ -113,11 +116,6 @@ class TestTraceCacheDeterminism:
         assert again == first
         assert cache.misses == 3  # every fill was a cold generation
 
-    def test_disabled_cache_still_exact(self):
-        cache = TraceCache(max_entries=0)
-        assert cache.requests(profile_of(), 0, 2048, 250) == fresh_stream(250)
-        assert len(cache) == 0
-
     def test_total_request_budget_evicts_lru(self):
         cache = TraceCache(max_entries=8, max_total_requests=500)
         first = cache.requests(profile_of(), 0, 2048, 300)
@@ -138,7 +136,61 @@ class TestTraceCacheDeterminism:
         with pytest.raises(ValueError):
             cache.requests(profile_of(), 0, 2048, -1)
         with pytest.raises(ValueError):
-            TraceCache(max_entries=-1)
+            cache.columnar(profile_of(), 0, 2048, 10, start=-1)
+        with pytest.raises(ValueError):
+            TraceCache(max_entries=0)
+        with pytest.raises(ValueError):
+            TraceCache(max_total_requests=-1)
+
+
+class TestWindowCoverage:
+    """Windows of a continued stream concatenate to the generator's.
+
+    Each cache is driven only through one access path, so every window
+    continues the live generator where the previous one stopped.  The
+    split points sit at the first request, on both sides of the object
+    view's first 4096-request column chunk, and inside a later one.
+    """
+
+    SPLITS = (1, 4095, 4096, 9999)
+    LENGTH = 12_000
+    FIELDS = ("address", "pc", "access_type", "core_id", "instruction_count")
+
+    def windows(self):
+        bounds = (0, *self.SPLITS, self.LENGTH)
+        return list(zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+    def test_windows_concatenate_to_the_stream(self, workload):
+        stream = fresh_stream(self.LENGTH, workload=workload)
+        profile = profile_of(workload)
+
+        expected = {
+            "addresses": [r.address for r in stream],
+            "pcs": [r.pc for r in stream],
+            "writes": [1 if r.is_write else 0 for r in stream],
+            "core_ids": [r.core_id for r in stream],
+            "instruction_counts": [r.instruction_count for r in stream],
+        }
+        by_columns = TraceCache()
+        columns = {name: [] for name in expected}
+        for start, stop in self.windows():
+            trace = by_columns.columnar(profile, 0, 2048, stop - start, start=start)
+            for name in expected:
+                columns[name].extend(getattr(trace, name)[start:stop])
+        assert columns == expected
+
+        by_objects = TraceCache()
+        served = []
+        for start, stop in self.windows():
+            served.extend(
+                by_objects.requests(profile, 0, 2048, stop - start, start=start)
+            )
+        for name in self.FIELDS:
+            assert [getattr(r, name) for r in served] == [
+                getattr(r, name) for r in stream
+            ], name
+        assert by_columns.misses == by_objects.misses == 1
 
 
 class TestCacheStats:
@@ -230,10 +282,90 @@ class TestSimulatorFastPath:
         # Second runs continue the stream, identically on both.
         assert sim_a.run() == sim_b.run()
 
-    def test_externally_built_system_keeps_generator_path(self):
-        from repro.sim.system import build_system
+    @pytest.mark.parametrize("design", ("footprint", "block"))
+    def test_iterator_consumed_exactly_num_requests(self, design, monkeypatch):
+        # Explicit requests are copied into columns a chunk at a time;
+        # uneven chunks must still consume exactly num_requests.
+        monkeypatch.setattr(simulator_module, "STREAM_CHUNK_REQUESTS", 700)
+        config = self.small_config(design=design, num_requests=3_000)
+        stream = fresh_stream(3_100)
+        source = iter(stream)
+        result = Simulator(config).run(trace=source)
+        assert next(source) == stream[3_000]
+        assert result == Simulator(config).run(trace=stream)
 
-        config = self.small_config()
-        system = build_system(config)
-        external = Simulator(config, system=system).run()
-        assert external == Simulator(config).run()
+    @pytest.mark.parametrize("design", ("footprint", "block"))
+    def test_continuation_past_budget_generates_each_request_once(
+        self, design, monkeypatch
+    ):
+        # Three runs on one simulator continue one stream past the
+        # shared budget; the third run's window outgrows it and is
+        # evicted as soon as it is claimed.  Each run must still
+        # generate only its own requests (a kernel replay used to miss,
+        # and regenerate the prefix, once per segment after that).
+        config = self.small_config(design=design, num_requests=2_500)
+        reference = Simulator(config)
+        expected = [reference._run_reference() for _ in range(3)]
+
+        monkeypatch.setattr(vector_engine, "SEGMENT_REQUESTS", 500)
+        monkeypatch.setattr(
+            trace_module, "_SHARED", TraceCache(max_total_requests=5_000)
+        )
+        generate = SyntheticWorkload.requests
+        generated = [0]
+
+        def counting(self, count):
+            for request in generate(self, count):
+                generated[0] += 1
+                yield request
+
+        monkeypatch.setattr(SyntheticWorkload, "requests", counting)
+        simulator = Simulator(config)
+        for want in expected:
+            generated[0] = 0
+            assert simulator.run() == want
+            assert generated[0] == 2_500
+
+    @pytest.mark.parametrize("design", ("footprint", "block"))
+    def test_run_longer_than_budget_streams_outside_the_cache(
+        self, design, monkeypatch
+    ):
+        # A run longer than the cache's whole budget must neither hold
+        # its whole window nor flush the other cached traces: it
+        # generates privately, outside the cache lock, one bounded chunk
+        # at a time, and continues its stream like a cached run.
+        config = self.small_config(design=design, num_requests=12_000)
+        reference = Simulator(config)
+        expected = [reference._run_reference() for _ in range(2)]
+
+        cache = TraceCache(max_total_requests=5_000)
+        monkeypatch.setattr(trace_module, "_SHARED", cache)
+        monkeypatch.setattr(simulator_module, "STREAM_CHUNK_REQUESTS", 1_000)
+        monkeypatch.setattr(vector_engine, "SEGMENT_REQUESTS", 700)
+        cache.columnar(profile_of("data_serving"), 0, 2048, 4_000)
+        before = cache.stats()
+
+        generate = SyntheticWorkload.requests
+
+        def unlocked(self, count):
+            for request in generate(self, count):
+                assert not cache._lock.locked()
+                yield request
+
+        monkeypatch.setattr(SyntheticWorkload, "requests", unlocked)
+        simulator = Simulator(config)
+        claim = simulator._windows
+        held = []
+
+        def recording(trace=None):
+            for window, start, stop in claim(trace):
+                held.append(len(window))
+                yield window, start, stop
+
+        simulator._windows = recording
+        for want in expected:
+            held.clear()
+            assert simulator.run() == want
+            assert sum(held) == 12_000
+            assert max(held) <= 1_000
+        assert cache.stats() == before

@@ -266,14 +266,23 @@ class TestConcurrentReplay:
         }
 
     def test_threads_replay_one_stream(self, monkeypatch):
+        # Kernels read the stream in segments; block's reference loop
+        # reads it through the lazy request-object view.
         shared_trace_cache().clear()
         monkeypatch.setattr(vector_engine, "SEGMENT_REQUESTS", 512)
-        configs = [small_config(seed=13, requests=n) for n in (4_000, 8_000)]
+        configs = [
+            small_config(design=design, seed=13, requests=n)
+            for design in ("footprint", "block")
+            for n in (4_000, 8_000)
+        ]
         results, errors = {}, []
+
+        def key(config):
+            return config.cache.design, config.num_requests
 
         def run(config):
             try:
-                results[config.num_requests] = Simulator(config).run().to_dict()
+                results[key(config)] = Simulator(config).run().to_dict()
             except Exception as exc:  # surfaced by the assert below
                 errors.append(exc)
 
@@ -283,4 +292,4 @@ class TestConcurrentReplay:
         for thread in threads:
             thread.join()
         assert errors == []
-        assert results == {c.num_requests: reference_result(c) for c in configs}
+        assert results == {key(c): reference_result(c) for c in configs}

@@ -11,7 +11,7 @@ from repro.workloads.profiles import (
     profile_for,
 )
 from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.trace import materialize, trace_statistics
+from repro.workloads.trace import Trace, trace_statistics
 
 
 class TestProfiles:
@@ -65,13 +65,13 @@ class TestProfiles:
 
 class TestSyntheticWorkload:
     def test_deterministic_given_seed(self):
-        a = materialize(make_workload("web_search", seed=7).requests(500))
-        b = materialize(make_workload("web_search", seed=7).requests(500))
+        a = list(make_workload("web_search", seed=7).requests(500))
+        b = list(make_workload("web_search", seed=7).requests(500))
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = materialize(make_workload("web_search", seed=1).requests(500))
-        b = materialize(make_workload("web_search", seed=2).requests(500))
+        a = list(make_workload("web_search", seed=1).requests(500))
+        b = list(make_workload("web_search", seed=2).requests(500))
         assert a != b
 
     def test_requests_have_valid_fields(self):
@@ -83,10 +83,10 @@ class TestSyntheticWorkload:
             assert request.instruction_count >= 1
 
     def test_requested_count_honoured(self):
-        assert len(materialize(make_workload("mapreduce").requests(123))) == 123
+        assert len(list(make_workload("mapreduce").requests(123))) == 123
 
     def test_zero_requests(self):
-        assert materialize(make_workload("mapreduce").requests(0)) == []
+        assert list(make_workload("mapreduce").requests(0)) == []
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -136,21 +136,21 @@ class TestSyntheticWorkload:
 
     def test_visits_counter(self):
         workload = make_workload("web_search")
-        materialize(workload.requests(1000))
+        list(workload.requests(1000))
         assert workload.visits_opened >= workload.profile.pool_size
 
 
 class TestTraceHelpers:
     def test_materialize_limit(self):
         workload = make_workload("web_search")
-        assert len(materialize(workload.requests(100), limit=10)) == 10
+        assert len(Trace.from_requests(workload.requests(100), limit=10)) == 10
 
     def test_materialize_negative_limit(self):
         with pytest.raises(ValueError):
-            materialize([], limit=-1)
+            Trace.from_requests([], limit=-1)
 
     def test_statistics(self):
-        trace = materialize(make_workload("data_serving", seed=3).requests(5000))
+        trace = list(make_workload("data_serving", seed=3).requests(5000))
         stats = trace_statistics(trace)
         assert stats.num_requests == 5000
         assert 0.0 < stats.write_fraction < 0.6
@@ -172,6 +172,6 @@ class TestTraceHelpers:
         accesses-per-kilo-instruction between ~3 and ~10.
         """
         for name in WORKLOAD_NAMES:
-            trace = materialize(make_workload(name, seed=1).requests(5000))
+            trace = list(make_workload(name, seed=1).requests(5000))
             stats = trace_statistics(trace)
             assert 2.5 <= stats.accesses_per_kilo_instruction <= 10.0, name

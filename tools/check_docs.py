@@ -6,10 +6,12 @@ user-facing docs must name a subcommand the live parser actually has,
 use only flags that subcommand defines, and (for ``store``) a valid
 action.  Every documented HTTP call against the serve API (curl lines
 and ``METHOD /api/v1/...`` mentions in fences) must match a route the
-live router actually exposes, with the right method.  This keeps
-README/ARCHITECTURE from drifting when the CLI or API evolves — the
-docs are checked against the parser and route table themselves, not a
-list that would itself go stale.
+live router actually exposes, with the right method.  Every
+``REPRO_*`` environment variable the docs name must be one that code
+under ``src/`` or ``benchmarks/`` reads.  This keeps README/ARCHITECTURE
+from drifting when the CLI, API or knobs evolve — the docs are checked
+against the parser, route table and code themselves, not a list that
+would itself go stale.
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOC_FILES = ("README.md", "ARCHITECTURE.md", os.path.join("benchmarks", "README.md"))
+
+# A doc may name a REPRO_* environment variable only if Python code under
+# CODE_DIRS reads it, i.e. holds the name as a string literal (as in
+# ``os.environ.get("REPRO_RESULT_STORE")``).
+CODE_DIRS = ("src", "benchmarks")
+ENV_NAME_RE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]")
+ENV_READ_RE = re.compile(r"""["'](REPRO_[A-Z0-9_]*[A-Z0-9])["']""")
 
 
 def iter_fenced_commands(text: str):
@@ -112,6 +121,26 @@ def iter_fenced_api_calls(text: str):
             pending_line = number
         else:
             yield from _api_calls_from_line(number, stripped)
+
+
+def env_vars_read(root: str) -> set:
+    """``REPRO_*`` names that Python code under ``CODE_DIRS`` reads."""
+    names = set()
+    for directory in CODE_DIRS:
+        for folder, _, files in os.walk(os.path.join(root, directory)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name)) as handle:
+                        names.update(ENV_READ_RE.findall(handle.read()))
+    return names
+
+
+def stale_env_vars(text: str, known: set):
+    """Yield (line_number, name) for ``REPRO_*`` names not in ``known``."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        for name in ENV_NAME_RE.findall(line):
+            if name not in known:
+                yield number, name
 
 
 def _template_matches(template: str, path: str) -> bool:
@@ -229,6 +258,7 @@ def main() -> int:
     from repro.serve import API_ROUTES
 
     parser = build_parser()
+    env_vars = env_vars_read(REPO_ROOT)
     failures = []
     all_commands = []
     documented_calls = []
@@ -248,6 +278,11 @@ def main() -> int:
         for number, method, api_path in calls:
             for problem in check_api_call(method, api_path, API_ROUTES):
                 failures.append(f"{doc}:{number}: {problem}")
+        for number, name in stale_env_vars(text, env_vars):
+            failures.append(
+                f"{doc}:{number}: names ${name}, which no code under "
+                f"{' or '.join(CODE_DIRS)} reads"
+            )
         print(
             f"{doc}: {len(commands)} CLI invocation(s), "
             f"{len(calls)} API call(s) checked"
