@@ -88,7 +88,6 @@ class PageDensityTracker:
         self._pages: SetAssociativeCache[int, int] = SetAssociativeCache(
             num_sets=num_sets,
             associativity=associativity,
-            policy="lru",
             set_index=lambda page: (page // page_size) % num_sets,
         )
         self.histogram = Histogram("page_density")

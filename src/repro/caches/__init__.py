@@ -32,7 +32,6 @@ from repro.caches.chop_cache import ChopCache
 from repro.caches.ideal_cache import IdealCache
 from repro.caches.missmap import MissMap
 from repro.caches.page_cache import PageBasedCache
-from repro.caches.replacement import LruPolicy, RandomPolicy, ReplacementPolicy
 from repro.caches.sram_cache import SetAssociativeCache
 from repro.caches.subblock_cache import SubBlockedCache
 
@@ -50,9 +49,6 @@ __all__ = [
     "IdealCache",
     "MissMap",
     "PageBasedCache",
-    "LruPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
     "SetAssociativeCache",
     "SubBlockedCache",
 ]

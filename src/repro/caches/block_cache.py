@@ -70,7 +70,6 @@ class BlockBasedCache(DramCache):
         self._tags: SetAssociativeCache[int, _BlockLine] = SetAssociativeCache(
             num_sets=self.num_sets,
             associativity=data_blocks_per_row,
-            policy="lru",
             set_index=self._set_of,
         )
         # Extra CAS for the in-DRAM tag read, in CPU cycles; the tag

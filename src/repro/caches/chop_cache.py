@@ -74,7 +74,6 @@ class ChopCache(PageBasedCache):
         self._filter: SetAssociativeCache[int, _FilterEntry] = SetAssociativeCache(
             num_sets=filter_entries // filter_associativity,
             associativity=filter_associativity,
-            policy="lru",
             set_index=lambda page: (page // page_size) % (filter_entries // filter_associativity),
         )
 

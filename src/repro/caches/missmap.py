@@ -65,7 +65,6 @@ class MissMap:
         self._table: SetAssociativeCache[int, MissMapEntry] = SetAssociativeCache(
             num_sets=num_sets,
             associativity=associativity,
-            policy="lru",
             set_index=lambda segment: (segment // segment_bytes) % num_sets,
         )
         self.forced_eviction_count = 0

@@ -110,7 +110,6 @@ class PageBasedCache(DramCache):
         self._tags: SetAssociativeCache[int, PageLine] = SetAssociativeCache(
             num_sets=self.num_sets,
             associativity=associativity,
-            policy="lru",
             set_index=self._set_of,
         )
         self._frames = FrameAllocator(self.num_sets, associativity, page_size)

@@ -1,17 +1,15 @@
-"""Generic set-associative cache over hashable keys with payloads.
+"""Generic LRU set-associative cache over hashable keys with payloads.
 
 This is the workhorse behind every tag structure in the repo: DRAM-cache
 tag arrays, the MissMap, the Footprint History Table, the Singleton Table,
-the CHOP filter table, and the (optional) L2 model are all set-associative
-structures differing only in key, payload, geometry and replacement.
+the CHOP filter table, and the (optional) L2 model are all LRU
+set-associative structures differing only in key, payload and geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
-
-from repro.caches.replacement import ReplacementPolicy, make_policy
 
 Key = TypeVar("Key", bound=Hashable)
 Payload = TypeVar("Payload")
@@ -30,7 +28,11 @@ _MISSING = object()
 
 
 class SetAssociativeCache(Generic[Key, Payload]):
-    """Set-associative key/payload store with pluggable replacement.
+    """Set-associative key/payload store with LRU replacement.
+
+    Each set is one dict whose order is its recency: Python dicts keep
+    insertion order, so a touch deletes and re-inserts the key, the
+    first key is the least recently used, and an eviction pops it.
 
     Parameters
     ----------
@@ -38,8 +40,6 @@ class SetAssociativeCache(Generic[Key, Payload]):
         Number of sets (power of two not required; indexing is modulo).
     associativity:
         Ways per set.
-    policy:
-        Replacement policy name (``"lru"`` or ``"random"``).
     set_index:
         Optional function mapping a key to its set index; defaults to
         ``hash(key) % num_sets``.  DRAM cache tag arrays pass the page
@@ -50,9 +50,7 @@ class SetAssociativeCache(Generic[Key, Payload]):
         self,
         num_sets: int,
         associativity: int,
-        policy: str = "lru",
         set_index: Optional[Callable[[Key], int]] = None,
-        seed: int = 0,
     ) -> None:
         if num_sets <= 0:
             raise ValueError(f"num_sets must be positive, got {num_sets}")
@@ -62,9 +60,6 @@ class SetAssociativeCache(Generic[Key, Payload]):
         self.associativity = associativity
         self._set_index = set_index or (lambda key: hash(key) % num_sets)
         self._entries: List[Dict[Key, Payload]] = [{} for _ in range(num_sets)]
-        self._policies: List[ReplacementPolicy[Key]] = [
-            make_policy(policy, seed=seed + i) for i in range(num_sets)
-        ]
 
     @property
     def capacity(self) -> int:
@@ -84,7 +79,7 @@ class SetAssociativeCache(Generic[Key, Payload]):
         return index
 
     def lookup(self, key: Key, touch: bool = True) -> Optional[Payload]:
-        """Payload for ``key`` or None; updates recency when ``touch``.
+        """Payload for ``key`` or None; makes it most recent when ``touch``.
 
         This is the hottest method of every tag structure, so the set
         index validation is inlined and the set dict is probed once.
@@ -97,51 +92,44 @@ class SetAssociativeCache(Generic[Key, Payload]):
         if payload is _MISSING:
             return None
         if touch:
-            self._policies[set_id].on_access(key)
+            del entries[key]
+            entries[key] = payload
         return payload
 
     def insert(self, key: Key, payload: Payload) -> Optional[Eviction[Key, Payload]]:
         """Insert ``key``; returns the eviction it forced, if any.
 
-        Inserting an already-resident key replaces its payload and touches
-        it (no eviction).
+        Inserting an already-resident key replaces its payload and makes
+        it most recent (no eviction).
         """
-        set_id = self._index_of(key)
-        entries = self._entries[set_id]
-        policy = self._policies[set_id]
-        if key in entries:
-            entries[key] = payload
-            policy.on_access(key)
-            return None
+        entries = self._entries[self._index_of(key)]
         evicted: Optional[Eviction[Key, Payload]] = None
-        if len(entries) >= self.associativity:
-            victim_key = policy.victim()
-            policy.on_evict(victim_key)
+        if key in entries:
+            del entries[key]
+        elif len(entries) >= self.associativity:
+            victim_key = next(iter(entries))
             evicted = Eviction(key=victim_key, payload=entries.pop(victim_key))
         entries[key] = payload
-        policy.on_insert(key)
         return evicted
 
     def invalidate(self, key: Key) -> Optional[Payload]:
         """Remove ``key``; returns its payload or None if absent."""
-        set_id = self._index_of(key)
-        entries = self._entries[set_id]
-        if key not in entries:
-            return None
-        self._policies[set_id].on_evict(key)
-        return entries.pop(key)
+        return self._entries[self._index_of(key)].pop(key, None)
 
     def victim_candidate(self, key: Key) -> Optional[Tuple[Key, Payload]]:
         """Peek at what inserting ``key`` would evict (None if room/resident)."""
-        set_id = self._index_of(key)
-        entries = self._entries[set_id]
+        entries = self._entries[self._index_of(key)]
         if key in entries or len(entries) < self.associativity:
             return None
-        victim_key = self._policies[set_id].victim()
+        victim_key = next(iter(entries))
         return victim_key, entries[victim_key]
 
     def items(self):
-        """Iterate (key, payload) over all resident entries."""
+        """Iterate (key, payload) over all resident entries.
+
+        Sets come in index order, each least recent first.  No caller
+        depends on the order within a set.
+        """
         for entries in self._entries:
             yield from entries.items()
 

@@ -108,7 +108,6 @@ class FootprintHistoryTable:
         self._table: SetAssociativeCache[PredictorKey, _FhtEntry] = SetAssociativeCache(
             num_sets=num_sets,
             associativity=associativity,
-            policy="lru",
             set_index=lambda key: self._hash(key) % num_sets,
         )
         self.lookups = 0

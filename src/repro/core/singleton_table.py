@@ -43,7 +43,6 @@ class SingletonTable:
         self._table: SetAssociativeCache[int, SingletonEntry] = SetAssociativeCache(
             num_sets=num_sets,
             associativity=associativity,
-            policy="lru",
             set_index=lambda page: page % num_sets,
         )
         self.recorded = 0

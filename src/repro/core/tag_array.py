@@ -61,7 +61,6 @@ class FootprintTagArray:
         self._tags: SetAssociativeCache[int, PageEntry] = SetAssociativeCache(
             num_sets=self.num_sets,
             associativity=associativity,
-            policy="lru",
             set_index=self.set_of,
         )
         self._frames = FrameAllocator(self.num_sets, associativity, page_size)

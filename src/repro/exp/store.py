@@ -314,7 +314,12 @@ class ResultStore:
             self._append_locked(lines)
 
     def put(self, point: ExperimentPoint, result: SimulationResult) -> None:
-        """Persist ``result`` under ``point``'s config hash."""
+        """Persist ``result`` under ``point``'s config hash.
+
+        Like :meth:`merge`, a record whose key already holds identical
+        bytes is not appended again; a differing result appends (last
+        write wins).
+        """
         record = {
             "key": point.key(),
             "point": point.describe(),
@@ -328,6 +333,14 @@ class ResultStore:
             # no other writer can slip in — so the cached index stays
             # exactly the file's content.
             index = self._load()
+            stored = index.get(record["key"])
+            # Results round-trip exactly (SimulationResult.to_dict), and
+            # the key pins the point, so re-serialising the stored result
+            # reproduces the stored line.
+            if stored is not None and json.dumps(
+                dict(record, result=stored), sort_keys=True
+            ) == line:
+                return
             self._append_locked([line])
             index[record["key"]] = record["result"]
             self._loaded_stat = self._stat()

@@ -60,7 +60,6 @@ class L2Cache:
         self._lines: SetAssociativeCache[int, _L2Line] = SetAssociativeCache(
             num_sets=num_sets,
             associativity=associativity,
-            policy="lru",
             set_index=lambda block: (block // block_size) % num_sets,
         )
         self.stats = StatGroup("l2")

@@ -6,8 +6,8 @@ write flag, core, instruction-cycle product), then ONE tight loop applies
 the *same arithmetic in the same order* as the scalar reference —
 ``MemoryController.access`` + the design's full access flow + the
 simulator's per-core time recurrence — writing directly through to the
-real simulation state (banks, LRU dicts, tag entries, block bit vectors,
-frame free-lists, predictor tables, per-core clocks).
+real simulation state (banks, recency-ordered set dicts, tag entries,
+block bit vectors, frame free-lists, predictor tables, per-core clocks).
 
 Unlike a classic fast-path/slow-path split, the footprint and page
 kernels inline *every* outcome — hit, underprediction, page miss with
@@ -38,18 +38,20 @@ Mirroring rules that make the parity hold to the last bit:
   (bank, row); the kernels then precompute one bank/row pair per frame
   and replace the five-operation address decomposition with two list
   lookups.  Odd geometries keep the verbatim arithmetic.
-* An LRU "touch" of the most-recently-used key is a no-op on an ordered
-  dict, so the kernels track the MRU key per set and skip the
-  delete/re-insert pair for repeated touches — the dominant pattern in
-  paged streams.
+* Each set of a ``SetAssociativeCache`` is one dict whose order is its
+  recency, so an LRU touch is a delete/re-insert, the victim is the
+  first key, and the kernels update exactly the dicts the scalar path
+  does.  A touch of the most-recently-used key is a no-op, so the
+  kernels track the MRU key per tag set and skip the delete/re-insert
+  pair for repeated touches — the dominant pattern in paged streams.
 * Lazily created statistics (``underprediction_misses``,
   ``eviction_density``, ...) are only instantiated when the count is
   non-zero, matching the reference's create-on-first-event timing so
   ``StatGroup.as_dict`` has identical keys.
 
 ``build_kernel`` returns None when any assumption fails (custom
-subclasses, close-page controllers, non-LRU tags, an L2 frontend); the
-driver then routes the whole run to the scalar reference loop.
+subclasses, close-page controllers, an L2 frontend); ``engine.replay``
+then routes the whole run to the scalar reference loop.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ import numpy as np
 
 from repro.caches.base import BaselineMemory
 from repro.caches.page_cache import PageBasedCache, PageLine
-from repro.caches.replacement import LruPolicy
 from repro.core.block_state import PageBlockBits
 from repro.core.footprint_cache import FootprintCache
 from repro.core.footprint_predictor import FootprintHistoryTable, _FhtEntry
@@ -73,12 +74,6 @@ _FHT_HASH_OFFSET = 0x85EBCA77
 def _plain_open_page(controller) -> bool:
     """True when the inlined controller model applies exactly."""
     return type(controller) is MemoryController and not controller._close_page
-
-
-def _lru_sets(sram) -> bool:
-    """True when every set of a SetAssociativeCache uses plain LRU."""
-    policies = sram._policies
-    return bool(policies) and all(type(p) is LruPolicy for p in policies)
 
 
 def _cycles(controller, num_bytes: int, code: int, is_write: bool) -> int:
@@ -336,8 +331,6 @@ class _PageKernel(_StackedKernelBase):
             return None
         if not _plain_open_page(cache.stacked) or not _plain_open_page(cache.offchip):
             return None
-        if not _lru_sets(cache._tags):
-            return None
         return cls(sim)
 
     def __init__(self, sim) -> None:
@@ -347,7 +340,6 @@ class _PageKernel(_StackedKernelBase):
         self.num_sets = sram.num_sets
         self.associativity = sram.associativity
         self.tag_dicts = sram._entries
-        self.tag_orders = [policy._order for policy in sram._policies]
         self.frame_free = cache._frames._free
         self._build_frame_tables(self.num_sets * self.associativity)
         # Most-recently-used key per tag set: touching it again is a
@@ -370,7 +362,6 @@ class _PageKernel(_StackedKernelBase):
         page_size = self.page_size
         assoc = self.associativity
         tag_dicts = self.tag_dicts
-        tag_orders = self.tag_orders
         frame_free = self.frame_free
         mru = self.mru
 
@@ -412,9 +403,8 @@ class _PageKernel(_StackedKernelBase):
             if line is not None:
                 # ---- hit: stacked block access + mask update --------
                 if mru[sid] != page:
-                    order = tag_orders[sid]
-                    del order[page]
-                    order[page] = None
+                    del td[page]
+                    td[page] = line
                     mru[sid] = page
                 nowx = int(t) + tagl
                 frame = line.frame
@@ -458,9 +448,7 @@ class _PageKernel(_StackedKernelBase):
                 now_mr = nowi + tagl
                 wb = 0
                 if len(td) >= assoc:
-                    order = tag_orders[sid]
-                    vpage = next(iter(order))
-                    del order[vpage]
+                    vpage = next(iter(td))
                     vline = td.pop(vpage)
                     dirty = vline.dirty_mask.bit_count()
                     if dirty:
@@ -580,7 +568,6 @@ class _PageKernel(_StackedKernelBase):
                 if w:
                     line.dirty_mask = bit
                 td[page] = line
-                tag_orders[sid][page] = None
                 mru[sid] = page
                 c_wb += wb
             ct[c] = t + (icb_l[k] + latency * exposed)
@@ -622,13 +609,10 @@ class _FootprintKernel(_StackedKernelBase):
             return None
         if not _plain_open_page(cache.stacked) or not _plain_open_page(cache.offchip):
             return None
-        if not _lru_sets(cache.tags._tags):
-            return None
-        fht = cache.fht
-        if type(fht) is not FootprintHistoryTable or not _lru_sets(fht._table):
+        if type(cache.fht) is not FootprintHistoryTable:
             return None
         st = cache.singleton_table
-        if st is not None and (type(st) is not SingletonTable or not _lru_sets(st._table)):
+        if st is not None and type(st) is not SingletonTable:
             return None
         return cls(sim)
 
@@ -639,14 +623,12 @@ class _FootprintKernel(_StackedKernelBase):
         self.num_sets = sram.num_sets
         self.associativity = sram.associativity
         self.tag_dicts = sram._entries
-        self.tag_orders = [policy._order for policy in sram._policies]
         self.frame_free = cache.tags._frames._free
         self._build_frame_tables(self.num_sets * self.associativity)
         self.mru = [None] * self.num_sets
         fht = cache.fht
         self.fht = fht
         self.fht_dicts = fht._table._entries
-        self.fht_orders = [policy._order for policy in fht._table._policies]
         self.fht_sets = fht._table.num_sets
         self.fht_assoc = fht._table.associativity
         self.fht_default_index = fht.index_mode == "pc_offset"
@@ -654,7 +636,6 @@ class _FootprintKernel(_StackedKernelBase):
         self.st = st
         if st is not None:
             self.st_dicts = st._table._entries
-            self.st_orders = [policy._order for policy in st._table._policies]
             self.st_sets = st._table.num_sets
             self.st_assoc = st._table.associativity
         self.use_singleton = cache.singleton_optimization and st is not None
@@ -676,13 +657,11 @@ class _FootprintKernel(_StackedKernelBase):
         page_size = self.page_size
         assoc = self.associativity
         tag_dicts = self.tag_dicts
-        tag_orders = self.tag_orders
         frame_free = self.frame_free
         mru = self.mru
 
         fht = self.fht
         fht_dicts = self.fht_dicts
-        fht_orders = self.fht_orders
         fht_sets = self.fht_sets
         fht_assoc = self.fht_assoc
         fht_default = self.fht_default_index
@@ -693,7 +672,6 @@ class _FootprintKernel(_StackedKernelBase):
         use_singleton = self.use_singleton
         if use_st:
             st_dicts = self.st_dicts
-            st_orders = self.st_orders
             st_sets = self.st_sets
             st_assoc = self.st_assoc
 
@@ -739,9 +717,8 @@ class _FootprintKernel(_StackedKernelBase):
             if entry is not None:
                 # Resident page: LRU touch, then hit or underprediction.
                 if mru[sid] != page:
-                    order = tag_orders[sid]
-                    del order[page]
-                    order[page] = None
+                    del td[page]
+                    td[page] = entry
                     mru[sid] = page
                 blocks = entry.blocks
                 high = blocks.high_mask
@@ -863,7 +840,6 @@ class _FootprintKernel(_StackedKernelBase):
                 if st_entry is not None:
                     if st_entry.offset != off or st_entry.pc != pc:
                         # Second access to a bypassed page: correct it.
-                        del st_orders[st_sid][page]
                         del st_dicts[st_sid][page]
                         st_second += 1
                         n_corr += 1
@@ -887,19 +863,14 @@ class _FootprintKernel(_StackedKernelBase):
                 fe = fd.get(fkey)
                 if fe is None:
                     # Cold pair: allocate an FHT entry for just this block.
-                    fo = fht_orders[fs]
                     if len(fd) >= fht_assoc:
-                        victim = next(iter(fo))
-                        del fo[victim]
-                        del fd[victim]
+                        del fd[next(iter(fd))]
                     fd[fkey] = _FhtEntry(footprint_mask=1 << off)
-                    fo[fkey] = None
                     pmask = 1 << off
                 else:
                     f_hits += 1
-                    fo = fht_orders[fs]
-                    del fo[fkey]
-                    fo[fkey] = None
+                    del fd[fkey]
+                    fd[fkey] = fe
                     predicted = fe.footprint_mask
                     if use_singleton and predicted.bit_count() == 1:
                         bypass = True
@@ -940,13 +911,9 @@ class _FootprintKernel(_StackedKernelBase):
                 if rerecord:
                     st_sid = page % st_sets
                     sdict = st_dicts[st_sid]
-                    sorder = st_orders[st_sid]
                     if len(sdict) >= st_assoc:
-                        victim = next(iter(sorder))
-                        del sorder[victim]
-                        del sdict[victim]
+                        del sdict[next(iter(sdict))]
                     sdict[page] = SingletonEntry(pc=pc, offset=off)
-                    sorder[page] = None
                     st_rec += 1
                 ct[c] = t + (icb_l[k] + latency * exposed)
                 c_lat += latency
@@ -958,9 +925,7 @@ class _FootprintKernel(_StackedKernelBase):
             if len(td) >= assoc:
                 # Evict the LRU page: FHT feedback, accuracy accounting,
                 # dirty write-back.
-                order = tag_orders[sid]
-                vpage = next(iter(order))
-                del order[vpage]
+                vpage = next(iter(td))
                 ventry = td.pop(vpage)
                 frame_free[sid].append(ventry.frame // page_size - sid * assoc)
                 vblocks = ventry.blocks
@@ -1052,7 +1017,6 @@ class _FootprintKernel(_StackedKernelBase):
             td[page] = PageEntry(
                 frame=frame, blocks=blocks, fht_key=fht_key, predicted_mask=pmask
             )
-            tag_orders[sid][page] = None
             mru[sid] = page
             fb = pmask.bit_count()
             nb = fb * bs

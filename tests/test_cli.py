@@ -104,6 +104,17 @@ class TestSweepMain:
         out = capsys.readouterr().out
         assert "1 simulated" in out
 
+    def test_sweep_no_cache_rerun_leaves_store_unchanged(self, tmp_path, capsys):
+        argv = ["sweep", "--workloads", "web_search", "--designs", "page",
+                "--capacities", "64", "--requests", "3000",
+                "--store", str(tmp_path)]
+        assert main(argv) == 0
+        store_file = tmp_path / "results.jsonl"
+        before = store_file.read_bytes()
+        assert main(argv + ["--no-cache"]) == 0
+        assert "1 simulated" in capsys.readouterr().out
+        assert store_file.read_bytes() == before
+
 
 class TestBackendFlags:
     def test_backend_shard_plugin_parse(self):

@@ -71,6 +71,33 @@ def test_checker_catches_stale_env_vars():
         sys.path.remove(os.path.join(REPO_ROOT, "tools"))
 
 
+def test_checker_catches_deleted_modules_in_the_module_map():
+    """The ARCHITECTURE.md module map may only name files that exist."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+    try:
+        from check_docs import missing_modules, module_map_names
+
+        with open(os.path.join(REPO_ROOT, "ARCHITECTURE.md")) as handle:
+            assert list(missing_modules(handle.read(), REPO_ROOT)) == []
+        text = (
+            "```\n"
+            "src/repro/\n"
+            "├── caches/      The competing designs\n"
+            "│     sram_cache.py, imaginary_policy.py\n"
+            "└── exp/         Experiment engine\n"
+            "│     serial.py, sram_cache.py\n"
+            "```\n"
+            "Prose after the fence: not_mapped.py\n"
+        )
+        assert len(list(module_map_names(text))) == 4
+        assert list(missing_modules(text, REPO_ROOT)) == [
+            (4, "caches/imaginary_policy.py"),
+            (6, "exp/sram_cache.py"),
+        ]
+    finally:
+        sys.path.remove(os.path.join(REPO_ROOT, "tools"))
+
+
 def test_checker_validates_worker_flags_and_coordinator_routes():
     """The distributed surface is held to the same standard.
 

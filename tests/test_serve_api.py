@@ -8,12 +8,14 @@ doubles.
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro.exp.runner as runner_module
 from repro.exp import ExperimentSpec, ResultStore, SweepRunner
 from repro.serve import API_PREFIX
 from repro.sim.simulator import SimulationResult
@@ -251,18 +253,31 @@ def test_stream_disconnect_mid_event_leaves_server_healthy(server):
     assert events[-1]["event"] == "done"
 
 
-def test_cancel_queued_job_via_api(server):
+def test_cancel_queued_job_via_api(server, monkeypatch):
     base, _ = server
     # Cold seeds occupy the single worker; the second job is queued.
-    running = request(base, "/jobs", method="POST",
-                      payload=tiny_spec(seeds=(50, 51, 52)).to_dict())[1]
-    queued = request(base, "/jobs", method="POST",
-                     payload=tiny_spec(seeds=(60, 61)).to_dict())[1]
-    status, cancelled = request(
-        base, f"/jobs/{queued['id']}/cancel", method="POST", payload={}
-    )
-    assert status == 200
-    assert cancelled["state"] == "cancelled"
+    # The first job's points block until the cancel has been asserted,
+    # so they cannot finish first and let the queued job start.
+    release = threading.Event()
+    simulate = runner_module.run_point
+
+    def blocked(point):
+        release.wait()
+        return simulate(point)
+
+    monkeypatch.setattr(runner_module, "run_point", blocked)
+    try:
+        running = request(base, "/jobs", method="POST",
+                          payload=tiny_spec(seeds=(50, 51, 52)).to_dict())[1]
+        queued = request(base, "/jobs", method="POST",
+                         payload=tiny_spec(seeds=(60, 61)).to_dict())[1]
+        status, cancelled = request(
+            base, f"/jobs/{queued['id']}/cancel", method="POST", payload={}
+        )
+        assert status == 200
+        assert cancelled["state"] == "cancelled"
+    finally:
+        release.set()
     request(base, f"/jobs/{running['id']}/cancel", method="POST", payload={})
     poll_done(base, running["id"])
 

@@ -92,6 +92,24 @@ class TestEviction:
         cache.insert(0, "a")
         assert cache.victim_candidate(0) is None
 
+    def test_lru_sequence(self):
+        cache = SetAssociativeCache(num_sets=1, associativity=4)
+        for key in "abcd":
+            cache.insert(key, key.upper())
+        cache.lookup("b")
+        cache.lookup("a")
+        victims = [cache.insert(key, None).key for key in "wxyz"]
+        assert victims == ["c", "d", "b", "a"]
+
+    def test_reinsert_makes_most_recent(self):
+        cache = direct_indexed(num_sets=1, associativity=2)
+        cache.insert(0, "a")
+        cache.insert(1, "b")
+        cache.insert(0, "a2")
+        eviction = cache.insert(2, "c")
+        assert (eviction.key, eviction.payload) == (1, "b")
+        assert list(cache.items()) == [(0, "a2"), (2, "c")]
+
 
 class TestInvalidate:
     def test_invalidate_returns_payload(self):
@@ -165,3 +183,62 @@ def test_occupancy_invariants(operations):
         assert len(cache) == len(resident)
         for set_id in range(4):
             assert cache.set_occupancy(set_id) <= 3
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "lookup", "peek", "invalidate"]),
+            st.integers(0, 5),
+        ),
+        min_size=40,
+        max_size=300,
+    )
+)
+def test_lru_model_equivalence(operations):
+    """Each set behaves like an ordered-list LRU model.
+
+    Every eviction and every ``victim_candidate`` names the model's
+    least-recent key, and ``items()`` yields each set in the model's
+    order, least recent first.
+    """
+    # Three keys share each set of two ways, so hits, misses, touches
+    # and evictions come up often; the 40-operation minimum keeps the
+    # generated lists long enough to reach them.
+    num_sets, ways = 2, 2
+    cache = SetAssociativeCache(
+        num_sets=num_sets, associativity=ways, set_index=lambda k: k % num_sets
+    )
+    model = [[] for _ in range(num_sets)]  # per set; front = least recent
+    payloads = {}
+    for step, (op, key) in enumerate(operations):
+        order = model[key % num_sets]
+        if op == "insert":
+            candidate = cache.victim_candidate(key)
+            eviction = cache.insert(key, step)
+            if key not in order and len(order) == ways:
+                victim = order.pop(0)
+                assert candidate == (victim, payloads[victim])
+                assert (eviction.key, eviction.payload) == candidate
+            else:
+                assert candidate is None and eviction is None
+            if key in order:
+                order.remove(key)
+            order.append(key)
+            payloads[key] = step
+        elif op == "invalidate":
+            expected = payloads[key] if key in order else None
+            assert cache.invalidate(key) == expected
+            if key in order:
+                order.remove(key)
+        else:
+            touch = op == "lookup"
+            expected = payloads[key] if key in order else None
+            assert cache.lookup(key, touch=touch) == expected
+            if touch and key in order:
+                order.remove(key)
+                order.append(key)
+        assert list(cache.items()) == [
+            (k, payloads[k]) for keys in model for k in keys
+        ]

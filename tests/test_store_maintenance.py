@@ -73,7 +73,10 @@ class TestStats:
         assert stats.live == 2
 
     def test_duplicate_counts_superseded_append(self, store):
-        store.put(tiny_point(64), store.get(tiny_point(64)))
+        # put() skips a byte-identical record, so append the superseded
+        # duplicate directly, as TestCompact.inject_garbage does.
+        with open(store.path, "a") as handle:
+            handle.write(read_lines(store)[0])
         stats = store.stats()
         assert stats.total_lines == 3
         assert stats.duplicates == 1
@@ -91,6 +94,14 @@ class TestStats:
         out = capsys.readouterr().out
         assert "live" in out
         assert store.path in out
+
+
+class TestPut:
+    def test_differing_result_appends_and_wins(self, store):
+        other = store.get(tiny_point(256))
+        store.put(tiny_point(64), other)
+        assert len(read_lines(store)) == 3
+        assert ResultStore(store.directory).get(tiny_point(64)) == other
 
 
 class TestCompact:

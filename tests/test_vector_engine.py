@@ -6,7 +6,7 @@ kernel path may not change a single stored byte.  These tests enforce
 it the strong way — full ``SimulationResult.to_dict()`` and
 ``StatGroup.as_dict()`` equality plus deep post-run state comparison
 (controller counters and energies, bank row/busy state, tag contents
-*and LRU orders*, predictor tables) between ``run()`` and the reference
+*in LRU order*, predictor tables) between ``run()`` and the reference
 loop called directly, for every registered design, across workload
 profiles and seeds, including randomized traces.  Plus the edge cases
 that historically break segmented replay: empty segments, single
@@ -67,20 +67,16 @@ def state_snapshot(sim):
         sram = cache._tags
     if sram is not None:
         snap["tags"] = [
-            (sorted((key, repr(value)) for key, value in entries.items()),
-             list(policy._order))
-            for entries, policy in zip(sram._entries, sram._policies)
+            [(key, repr(value)) for key, value in entries.items()]
+            for entries in sram._entries
         ]
     fht = getattr(cache, "fht", None)
     if fht is not None:
         snap["fht"] = (
             (fht.lookups, fht.hits, fht.updates, fht.stale_updates),
             [
-                (sorted((k, v.footprint_mask) for k, v in entries.items()),
-                 list(policy._order))
-                for entries, policy in zip(
-                    fht._table._entries, fht._table._policies
-                )
+                [(k, v.footprint_mask) for k, v in entries.items()]
+                for entries in fht._table._entries
             ],
         )
         stats = cache.predictor_stats
@@ -94,11 +90,8 @@ def state_snapshot(sim):
         snap["singleton"] = (
             (singleton.recorded, singleton.second_access_hits),
             [
-                (sorted((k, (v.pc, v.offset)) for k, v in entries.items()),
-                 list(policy._order))
-                for entries, policy in zip(
-                    singleton._table._entries, singleton._table._policies
-                )
+                [(k, (v.pc, v.offset)) for k, v in entries.items()]
+                for entries in singleton._table._entries
             ],
         )
     snap["core_time"] = list(sim.perf._core_time)

@@ -8,10 +8,12 @@ action.  Every documented HTTP call against the serve API (curl lines
 and ``METHOD /api/v1/...`` mentions in fences) must match a route the
 live router actually exposes, with the right method.  Every
 ``REPRO_*`` environment variable the docs name must be one that code
-under ``src/`` or ``benchmarks/`` reads.  This keeps README/ARCHITECTURE
-from drifting when the CLI, API or knobs evolve — the docs are checked
-against the parser, route table and code themselves, not a list that
-would itself go stale.
+under ``src/`` or ``benchmarks/`` reads.  Every ``*.py`` file the
+ARCHITECTURE.md module map names must exist in its package under
+``src/repro/``.  This keeps README/ARCHITECTURE from drifting when the
+CLI, API, knobs or modules evolve — the docs are checked against the
+parser, route table and code themselves, not a list that would itself
+go stale.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ DOC_FILES = ("README.md", "ARCHITECTURE.md", os.path.join("benchmarks", "README.
 CODE_DIRS = ("src", "benchmarks")
 ENV_NAME_RE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]")
 ENV_READ_RE = re.compile(r"""["'](REPRO_[A-Z0-9_]*[A-Z0-9])["']""")
+
+# The module map is the ARCHITECTURE.md fence that opens with
+# ``src/repro/``; a ``├── name/`` line starts a package, and every
+# ``*.py`` name below it must exist somewhere in that package.
+MODULE_MAP_DOC = "ARCHITECTURE.md"
+PACKAGE_ROOT = os.path.join("src", "repro")
+MODULE_MAP_PACKAGE_RE = re.compile(r"^[├└]── (\w+)/")
+MODULE_NAME_RE = re.compile(r"\b\w+\.py\b")
 
 
 def iter_fenced_commands(text: str):
@@ -141,6 +151,36 @@ def stale_env_vars(text: str, known: set):
         for name in ENV_NAME_RE.findall(line):
             if name not in known:
                 yield number, name
+
+
+def module_map_names(text: str):
+    """Yield (line_number, package, name) for module-map ``*.py`` names."""
+    in_map = False
+    package = ""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip() == "src/repro/":
+            in_map = True
+        elif in_map and line.lstrip().startswith("```"):
+            return
+        elif in_map:
+            match = MODULE_MAP_PACKAGE_RE.match(line)
+            if match:
+                package = match.group(1)
+            for name in MODULE_NAME_RE.findall(line):
+                yield number, package, name
+
+
+def missing_modules(text: str, root: str):
+    """Yield (line_number, path) for module-map names absent on disk."""
+    present = {}
+    for number, package, name in module_map_names(text):
+        if package not in present:
+            directory = os.path.join(root, PACKAGE_ROOT, package)
+            present[package] = {
+                found for _, _, files in os.walk(directory) for found in files
+            }
+        if name not in present[package]:
+            yield number, f"{package}/{name}"
 
 
 def _template_matches(template: str, path: str) -> bool:
@@ -283,6 +323,14 @@ def main() -> int:
                 f"{doc}:{number}: names ${name}, which no code under "
                 f"{' or '.join(CODE_DIRS)} reads"
             )
+        if doc == MODULE_MAP_DOC:
+            if not any(module_map_names(text)):
+                failures.append(f"{doc}: no module map (a `src/repro/` fence) found")
+            for number, module in missing_modules(text, REPO_ROOT):
+                failures.append(
+                    f"{doc}:{number}: the module map names {module}, which "
+                    f"does not exist under {PACKAGE_ROOT}"
+                )
         print(
             f"{doc}: {len(commands)} CLI invocation(s), "
             f"{len(calls)} API call(s) checked"
