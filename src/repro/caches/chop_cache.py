@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.caches.base import CacheAccessResult
-from repro.caches.page_cache import PageBasedCache, PageLine
+from repro.caches.page_cache import PageBasedCache
 from repro.caches.sram_cache import SetAssociativeCache
 from repro.dram.controller import MemoryController
 from repro.mem.request import BLOCK_SIZE, AccessType, MemoryRequest
@@ -89,57 +89,24 @@ class ChopCache(PageBasedCache):
     def access(self, request: MemoryRequest, now: int) -> CacheAccessResult:
         address = request.address
         page = address & self._page_mask
-        is_write = request.access_type is AccessType.WRITE
-        line = self._tags.lookup(page)
-        latency = self.tag_latency
-        if line is not None:
-            offset = (address & self._offset_mask) >> self._block_shift
-            dram = self.stacked.access(
-                line.frame + (offset << self._block_shift),
-                self.block_size,
-                is_write,
-                now + latency,
-            )
-            latency += dram.latency
-            line.demanded_mask |= 1 << offset
-            if is_write:
-                line.dirty_mask |= 1 << offset
-            return self._record(CacheAccessResult(hit=True, latency=latency))
-
-        if self._is_hot(page):
-            # Hot page: allocate and fetch the whole page, as the parent
-            # page-based design does on a miss.
-            offset = (address & self._offset_mask) >> self._block_shift
-            writebacks = self._make_room(page, now + latency)
-            frame = self._frames.allocate(self._set_of(page))
-            fetch = self.offchip.access(page, self.page_size, False, now + latency)
-            latency += self._critical_fetch_latency(fetch, self.page_size)
-            self.stacked.access(frame, self.page_size, True, now + latency)
-            new_line = PageLine(frame=frame, demanded_mask=1 << offset)
-            if is_write:
-                new_line.dirty_mask = 1 << offset
-            self._tags.insert(page, new_line)
-            return self._record(
-                CacheAccessResult(
-                    hit=False,
-                    latency=latency,
-                    fill_blocks=self.blocks_per_page,
-                    writeback_blocks=writebacks,
-                )
-            )
+        # A resident page, or one the filter bump makes hot, takes the
+        # parent page-based design's hit or whole-page miss path (which
+        # touches the page's LRU position once).
+        if self._tags.lookup(page, touch=False) is not None or self._is_hot(page):
+            return super().access(request, now)
 
         # Cold page: serve the block off-chip, bypassing the cache.
+        is_write = request.access_type is AccessType.WRITE
         fetch = self.offchip.access(
             address & self._block_mask,
             self.block_size,
             is_write,
-            now + latency,
+            now + self.tag_latency,
         )
-        latency += fetch.latency
         return self._record(
             CacheAccessResult(
                 hit=False,
-                latency=latency,
+                latency=self.tag_latency + fetch.latency,
                 bypassed=True,
                 fill_blocks=0 if is_write else 1,
             )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.caches.sram_cache import SetAssociativeCache
+from repro.core.overheads import missmap_bytes
 from repro.mem.request import BLOCK_SIZE, _require_power_of_two
 
 
@@ -119,9 +120,5 @@ class MissMap:
         return len(self._table)
 
     def storage_bytes(self) -> int:
-        """SRAM footprint: ~19-bit tag + 64-bit presence vector per entry.
-
-        Reproduces the paper's 1.95MB for 192K entries (Table 4).
-        """
-        bits_per_entry = 19 + self.blocks_per_segment
-        return self._table.capacity * bits_per_entry // 8
+        """SRAM footprint under Table 4's MissMap model (1.95MB for 192K entries)."""
+        return missmap_bytes(self._table.capacity, self.segment_bytes, self.block_size)

@@ -4,6 +4,13 @@ Tags are small enough for SRAM (Table 4).  A miss fetches the entire page
 from off-chip memory in a single row operation — maximum hit ratio and
 DRAM locality, at the cost of up to an order of magnitude more off-chip
 traffic (Fig. 5b) and internal fragmentation.
+
+:class:`PageBasedCache` is also the skeleton of every page-organised
+design: the sub-blocked cache, CHOP and the Footprint Cache subclass it
+and keep its SRAM tags, its :class:`FrameAllocator` and its eviction
+(:meth:`PageBasedCache._make_room`), changing only what an access
+fetches and, through :meth:`PageBasedCache._on_evict`, what an eviction
+feeds back.
 """
 
 from __future__ import annotations
@@ -30,14 +37,6 @@ class PageLine:
     frame: int
     dirty_mask: int = 0
     demanded_mask: int = 0
-
-    def dirty_blocks(self) -> int:
-        """Number of dirty blocks in the page."""
-        return popcount(self.dirty_mask)
-
-    def demanded_blocks(self) -> int:
-        """Number of blocks demanded during residency (page density)."""
-        return popcount(self.demanded_mask)
 
 
 class FrameAllocator:
@@ -165,7 +164,10 @@ class PageBasedCache(DramCache):
 
         Returns the number of dirty blocks written back.  The victim is
         read out of stacked DRAM in one row operation and its dirty blocks
-        go off-chip — the paper's "mostly dirty evictions" traffic.
+        go off-chip — the paper's "mostly dirty evictions" traffic.  The
+        victim's entry may be any type with ``frame``, ``dirty_mask`` and
+        ``demanded_mask`` (a :class:`PageLine`, or the Footprint Cache's
+        ``PageEntry``).
         """
         candidate = self._tags.victim_candidate(page)
         if candidate is None:
@@ -173,16 +175,20 @@ class PageBasedCache(DramCache):
         victim_page, line = candidate
         self._tags.invalidate(victim_page)
         self._on_evict(victim_page, line)
-        dirty = line.dirty_blocks()
+        dirty = popcount(line.dirty_mask)
         if dirty:
             self.stacked.access(line.frame, dirty * self.block_size, False, now)
             self.offchip.access(victim_page, dirty * self.block_size, True, now)
         self._frames.release(self._set_of(victim_page), line.frame)
-        self.stats.histogram("eviction_density").record(line.demanded_blocks())
+        self.stats.histogram("eviction_density").record(popcount(line.demanded_mask))
         return dirty
 
     def _on_evict(self, page: int, line: PageLine) -> None:
-        """Hook for subclasses (footprint feedback); default does nothing."""
+        """Called by :meth:`_make_room` with each victim, before its write-back.
+
+        The default does nothing; the Footprint Cache overrides it to
+        train its FHT and account prediction accuracy.
+        """
 
     @property
     def resident_pages(self) -> int:

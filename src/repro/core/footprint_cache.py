@@ -12,24 +12,51 @@ vector — generated for free by the Table 2 encoding — updates the FHT.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.caches.base import CacheAccessResult, DramCache
+from repro.caches.base import CacheAccessResult
 from repro.bitops import popcount as _popcount
-from repro.core.footprint_predictor import FootprintHistoryTable, PredictorStats
+from repro.caches.page_cache import PageBasedCache
+from repro.core.block_state import PageBlockBits
+from repro.core.footprint_predictor import FootprintHistoryTable, PredictorKey, PredictorStats
+from repro.core.overheads import footprint_tag_bytes
 from repro.core.singleton_table import SingletonTable
-from repro.core.tag_array import FootprintTagArray, PageEntry
 from repro.dram.controller import MemoryController
-from repro.mem.request import (
-    BLOCK_SIZE,
-    AccessType,
-    MemoryRequest,
-    _require_power_of_two,
-)
+from repro.mem.request import BLOCK_SIZE, AccessType, MemoryRequest
 
 
-class FootprintCache(DramCache):
+@dataclass(slots=True)
+class PageEntry:
+    """Tag-array entry for one resident page (Fig. 3).
+
+    Besides the frame it carries the dirty/valid bit vectors of Table 2,
+    the predicted footprint (for accuracy accounting), and the pointer
+    into the FHT used for eviction feedback.
+    """
+
+    frame: int
+    blocks: PageBlockBits
+    fht_key: PredictorKey
+    predicted_mask: int
+
+    @property
+    def demanded_mask(self) -> int:
+        """The footprint generated so far (fed back to the FHT)."""
+        return self.blocks.demanded_mask
+
+    @property
+    def dirty_mask(self) -> int:
+        """Blocks needing write-back at eviction."""
+        return self.blocks.dirty_mask
+
+
+class FootprintCache(PageBasedCache):
     """Die-stacked DRAM cache with footprint prediction.
+
+    A page-based cache whose tags hold :class:`PageEntry` records: it
+    shares the parent's tags, frames and eviction, and differs in what a
+    miss fetches and in the FHT feedback of :meth:`_on_evict`.
 
     Parameters
     ----------
@@ -62,20 +89,13 @@ class FootprintCache(DramCache):
         singleton_optimization: bool = True,
         block_size: int = BLOCK_SIZE,
     ) -> None:
-        super().__init__(stacked, offchip, block_size)
-        self.page_size = page_size
-        self.tag_latency = tag_latency
-        self.blocks_per_page = page_size // block_size
-        # Address-split constants, validated once at configuration time so
-        # the per-access path is pure mask arithmetic.
-        _require_power_of_two(page_size, "page_size")
-        self._page_mask = ~(page_size - 1)
-        self._offset_mask = page_size - 1
-        self._block_shift = block_size.bit_length() - 1
-        self.tags = FootprintTagArray(
+        super().__init__(
+            stacked,
+            offchip,
             capacity_bytes,
             page_size=page_size,
             associativity=associativity,
+            tag_latency=tag_latency,
             block_size=block_size,
         )
         self.fht = fht or FootprintHistoryTable(blocks_per_page=self.blocks_per_page)
@@ -98,7 +118,7 @@ class FootprintCache(DramCache):
         page = address & self._page_mask
         offset = (address & self._offset_mask) >> self._block_shift
         latency = self.tag_latency
-        entry = self.tags.lookup(page)
+        entry = self._tags.lookup(page)
 
         if entry is not None:
             blocks = entry.blocks
@@ -257,7 +277,13 @@ class FootprintCache(DramCache):
     ) -> CacheAccessResult:
         """Evict a victim if needed, then fetch the predicted footprint."""
         writebacks = self._make_room(page, now + latency)
-        entry = self.tags.allocate(page, fht_key=fht_key, predicted_mask=predicted_mask)
+        entry = PageEntry(
+            frame=self._frames.allocate(self._set_of(page)),
+            blocks=PageBlockBits(self.blocks_per_page),
+            fht_key=fht_key,
+            predicted_mask=predicted_mask,
+        )
+        self._tags.insert(page, entry)
 
         fetch_blocks = _popcount(predicted_mask)
         fetch_bytes = fetch_blocks * self.block_size
@@ -277,37 +303,17 @@ class FootprintCache(DramCache):
         )
 
     # ------------------------------------------------------------------
-    # Eviction and feedback
+    # Eviction feedback
     # ------------------------------------------------------------------
-    def _make_room(self, page: int, now: int) -> int:
-        """Evict the LRU page of the target set if it is full.
+    def _on_evict(self, page: int, entry: PageEntry) -> None:
+        """Footprint feedback for the page :meth:`_make_room` evicts.
 
-        Eviction generates the footprint feedback: the demanded bit vector
-        updates the FHT through the stored pointer, and dirty blocks are
-        written back off-chip.  Returns dirty blocks written back.
+        The demanded bit vector updates the FHT through the stored
+        pointer, and the residency joins the Fig. 8 accuracy accounting.
         """
-        candidate = self.tags.needs_eviction(page)
-        if candidate is None:
-            return 0
-        victim_page, _ = candidate
-        entry = self.tags.evict(victim_page)
-
-        demanded = entry.blocks.demanded_mask
+        demanded = entry.demanded_mask
         pc, trigger_offset = entry.fht_key
         self.fht.update(pc, trigger_offset, demanded)
-
-        self._account_prediction(entry)
-        self.stats.histogram("eviction_density").record(entry.blocks.count_demanded())
-
-        dirty = entry.blocks.count_dirty()
-        if dirty:
-            self.stacked.access(entry.frame, dirty * self.block_size, False, now)
-            self.offchip.access(victim_page, dirty * self.block_size, True, now)
-        return dirty
-
-    def _account_prediction(self, entry: PageEntry) -> None:
-        """Fold one residency into the Fig. 8 accuracy accounting."""
-        demanded = entry.blocks.demanded_mask
         predicted = entry.predicted_mask
         self.predictor_stats.covered_blocks += _popcount(demanded & predicted)
         self.predictor_stats.underpredicted_blocks += _popcount(demanded & ~predicted)
@@ -322,14 +328,12 @@ class FootprintCache(DramCache):
         super().reset_stats()
         self.predictor_stats = PredictorStats()
 
-    @property
-    def resident_pages(self) -> int:
-        """Pages currently allocated."""
-        return self.tags.resident_pages
-
     def storage_bytes(self) -> int:
-        """Total SRAM metadata: tags + FHT + ST."""
-        total = self.tags.storage_bytes() + self.fht.storage_bytes()
+        """Total SRAM metadata: tags (Table 4's Footprint row) + FHT + ST."""
+        total = footprint_tag_bytes(
+            self.capacity_bytes, self.page_size, self.associativity, self.block_size
+        )
+        total += self.fht.storage_bytes()
         if self.singleton_table is not None:
             total += self.singleton_table.storage_bytes()
         return total

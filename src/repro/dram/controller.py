@@ -243,9 +243,10 @@ class MemoryController:
     def utilization(self, elapsed_cycles: int) -> float:
         """Aggregate bank-time utilisation over ``elapsed_cycles``.
 
-        Used by the performance model to derive queueing delay: a channel
-        near saturation exposes rapidly growing wait times, which is what
-        sinks the page-based design at small capacities (Fig. 6).
+        A summary of ``busy_cpu_cycles`` for analyses; the performance
+        model does not read it.  Contention, which sinks the page-based
+        design at small capacities (Fig. 6), comes from the bank queueing
+        inside :meth:`access`.
         """
         if elapsed_cycles <= 0:
             raise ValueError("elapsed_cycles must be positive")

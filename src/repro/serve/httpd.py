@@ -21,7 +21,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.serve.service import SimulationService, dispatch
+from repro.serve.service import Response, SimulationService, dispatch
 
 
 class ReproHTTPServer(ThreadingHTTPServer):
@@ -58,7 +58,23 @@ class _Handler(BaseHTTPRequestHandler):
         query = dict(parse_qsl(split.query))
         body: Optional[bytes] = None
         if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
+            declared = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's extent is unknown, so its bytes cannot be
+                # skipped: answer, then close rather than read them as
+                # the next request on this connection.
+                self._send(
+                    Response(
+                        status=400,
+                        payload={"error": f"invalid Content-Length: {declared!r}"},
+                    ),
+                    close=True,
+                )
+                return
             body = self.rfile.read(length) if length > 0 else b""
         response = dispatch(self.server.service, method, split.path, query, body)
 
@@ -80,10 +96,16 @@ class _Handler(BaseHTTPRequestHandler):
                 pass  # client hung up mid-stream; the job runs on
             return
 
+        self._send(response)
+
+    def _send(self, response: Response, close: bool = False) -> None:
+        """Write one complete (non-streaming) response."""
         data = response.body_bytes()
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.send_header("Connection", "close")  # also ends keep-alive
         self.end_headers()
         self.wfile.write(data)
 

@@ -61,10 +61,9 @@ import numpy as np
 from repro.caches.base import BaselineMemory
 from repro.caches.page_cache import PageBasedCache, PageLine
 from repro.core.block_state import PageBlockBits
-from repro.core.footprint_cache import FootprintCache
+from repro.core.footprint_cache import FootprintCache, PageEntry
 from repro.core.footprint_predictor import FootprintHistoryTable, _FhtEntry
 from repro.core.singleton_table import SingletonEntry, SingletonTable
-from repro.core.tag_array import PageEntry
 from repro.dram.controller import MemoryController
 
 _FHT_HASH_PC = 0x9E3779B1
@@ -245,7 +244,11 @@ class _BaselineKernel:
 
 
 class _StackedKernelBase:
-    """Shared constants of the page-organised kernels (page, footprint)."""
+    """Shared state of the page-organised kernels (page, footprint).
+
+    Both designs keep ``PageBasedCache``'s tags and frames, so the
+    kernels bind the same set dicts and free lists.
+    """
 
     def __init__(self, sim) -> None:
         cache = sim.system.cache
@@ -267,22 +270,29 @@ class _StackedKernelBase:
         # DramCache._critical_fetch_latency's exact expression.
         self._tails = {}
         self._hist = None
-
-    def _build_frame_tables(self, num_frames: int) -> None:
-        """Per-frame (bank, row) tables for the stacked controller.
-
-        Valid when the interleave stripe is a whole number of pages:
-        then ``(frame + offset) // interleave == frame // interleave``
-        for every in-page offset, so bank and row are functions of the
-        frame alone.
-        """
+        sram = cache._tags
+        self.num_sets = sram.num_sets
+        self.associativity = sram.associativity
+        self.tag_dicts = sram._entries
+        self.frame_free = cache._frames._free
+        # Per-frame (bank, row) tables for the stacked controller.  Valid
+        # when the interleave stripe is a whole number of pages: then
+        # ``(frame + offset) // interleave == frame // interleave`` for
+        # every in-page offset, so bank and row are functions of the
+        # frame alone.
         sd = self.stacked
         if sd.interleave % self.page_size == 0:
-            pairs = [sd.decompose(fid * self.page_size) for fid in range(num_frames)]
+            pairs = [
+                sd.decompose(fid * self.page_size)
+                for fid in range(self.num_sets * self.associativity)
+            ]
             self.frame_banks = [bank for bank, _ in pairs]
             self.frame_rows = [row for _, row in pairs]
         else:
             self.frame_banks = self.frame_rows = None
+        # Most-recently-used key per tag set: touching it again is a
+        # no-op on the LRU dict, so the loop skips the delete/re-insert.
+        self.mru = [None] * self.num_sets
 
     def _tail(self, num_bytes: int) -> int:
         """Memoised off-critical-path burst tail for one fetch size."""
@@ -332,19 +342,6 @@ class _PageKernel(_StackedKernelBase):
         if not _plain_open_page(cache.stacked) or not _plain_open_page(cache.offchip):
             return None
         return cls(sim)
-
-    def __init__(self, sim) -> None:
-        super().__init__(sim)
-        cache = sim.system.cache
-        sram = cache._tags
-        self.num_sets = sram.num_sets
-        self.associativity = sram.associativity
-        self.tag_dicts = sram._entries
-        self.frame_free = cache._frames._free
-        self._build_frame_tables(self.num_sets * self.associativity)
-        # Most-recently-used key per tag set: touching it again is a
-        # no-op on the LRU dict, so the loop skips the delete/re-insert.
-        self.mru = [None] * self.num_sets
 
     def run_segment(self, cols) -> int:
         m = len(cols)
@@ -619,13 +616,6 @@ class _FootprintKernel(_StackedKernelBase):
     def __init__(self, sim) -> None:
         super().__init__(sim)
         cache = sim.system.cache
-        sram = cache.tags._tags
-        self.num_sets = sram.num_sets
-        self.associativity = sram.associativity
-        self.tag_dicts = sram._entries
-        self.frame_free = cache.tags._frames._free
-        self._build_frame_tables(self.num_sets * self.associativity)
-        self.mru = [None] * self.num_sets
         fht = cache.fht
         self.fht = fht
         self.fht_dicts = fht._table._entries

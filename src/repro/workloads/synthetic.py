@@ -70,7 +70,9 @@ class _ZipfSampler:
             raise ValueError("n must be positive")
         self.n = n
         self.alpha = alpha
-        key = (n, round(alpha, 6))
+        # Keyed on the exact alpha the CDF is built from: a rounded key
+        # would hand close alphas whichever CDF this process built first.
+        key = (n, alpha)
         # Serve runs jobs on threads: lookup, insert and evict are one
         # critical section, or another thread's eviction can remove the
         # key between ``get`` and ``move_to_end``.

@@ -1,8 +1,15 @@
 """Unit tests for the CHOP-style hot-page filter cache."""
 
+import random
+
 import pytest
 
 from repro.caches.chop_cache import ChopCache
+from repro.caches.page_cache import PageBasedCache
+from repro.dram.address_mapping import AddressMapping
+from repro.dram.bank import RowBufferPolicy
+from repro.dram.controller import MemoryController
+from repro.dram.timing import OFF_CHIP_DDR3_1600, STACKED_DDR3_3200
 from tests.conftest import read, write
 
 
@@ -93,3 +100,57 @@ class TestScaleOutBehaviour:
             chop.access(read((i * 131) % 499 * 4096), i * 10)
         bypasses = chop.stats.counter("bypasses").value
         assert bypasses / chop.accesses > 0.8
+
+
+def _controllers():
+    """A fresh (stacked, offchip) pair: 4-channel and 1-channel, open-page."""
+    return tuple(
+        MemoryController(
+            timing=timing,
+            mapping=AddressMapping(
+                channels=channels, banks_per_channel=8, row_bytes=2048,
+                interleave_bytes=2048,
+            ),
+            policy=RowBufferPolicy.OPEN_PAGE,
+        )
+        for timing, channels in ((STACKED_DDR3_3200, 4), (OFF_CHIP_DDR3_1600, 1))
+    )
+
+
+def _controller_state(controller):
+    energy = controller.energy
+    return (
+        controller.access_count, controller.row_hit_count,
+        controller.busy_cpu_cycles, controller.bytes_read,
+        controller.bytes_written, energy.activate_precharge_nj,
+        energy.read_nj, energy.write_nj,
+    )
+
+
+class TestSharedSkeleton:
+    def test_threshold_one_is_the_page_cache(self):
+        """Every missed page is hot at threshold 1, so CHOP must replay
+        exactly like the page-based design it delegates to."""
+        page = PageBasedCache(*_controllers(), capacity_bytes=8 * 2048, associativity=4)
+        chop = ChopCache(
+            *_controllers(), capacity_bytes=8 * 2048, page_size=2048,
+            associativity=4, hot_threshold=1,
+        )
+        rng = random.Random(19)
+        now = 0
+        for _ in range(20_000):
+            address = rng.randrange(64) * 2048 + rng.randrange(32) * 64
+            request = write(address) if rng.random() < 0.3 else read(address)
+            assert chop.access(request, now) == page.access(request, now)
+            now += rng.randrange(1, 200)
+        for name in ("stacked", "offchip"):
+            assert _controller_state(getattr(chop, name)) == _controller_state(
+                getattr(page, name)
+            )
+        assert list(chop.stats.as_dict().items()) == list(page.stats.as_dict().items())
+        assert [
+            list(histogram.items()) for histogram in chop.stats.histograms().values()
+        ] == [list(histogram.items()) for histogram in page.stats.histograms().values()]
+        assert [list(entries.items()) for entries in chop._tags._entries] == [
+            list(entries.items()) for entries in page._tags._entries
+        ]

@@ -98,6 +98,37 @@ def test_checker_catches_deleted_modules_in_the_module_map():
         sys.path.remove(os.path.join(REPO_ROOT, "tools"))
 
 
+def test_checker_catches_modules_missing_from_the_module_map(tmp_path):
+    """Every module under src/repro/ (``__init__.py`` aside) must be mapped."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+    try:
+        from check_docs import unmapped_modules
+
+        with open(os.path.join(REPO_ROOT, "ARCHITECTURE.md")) as handle:
+            assert list(unmapped_modules(handle.read(), REPO_ROOT)) == []
+        package = tmp_path / "src" / "repro"
+        (package / "exp" / "backends").mkdir(parents=True)
+        for module in (
+            "__init__.py", "__main__.py", "bitops.py", "exp/__init__.py",
+            "exp/store.py", "exp/backends/base.py", "exp/backends/imaginary.py",
+        ):
+            (package / module).write_text("")
+        text = (
+            "```\n"
+            "src/repro/\n"
+            "├── __main__.py  the CLI\n"
+            "└── exp/         Experiment engine\n"
+            "│     store.py, backends/ (base.py)\n"
+            "```\n"
+        )
+        assert list(unmapped_modules(text, str(tmp_path))) == [
+            "bitops.py",
+            os.path.join("exp", "backends", "imaginary.py"),
+        ]
+    finally:
+        sys.path.remove(os.path.join(REPO_ROOT, "tools"))
+
+
 def test_checker_validates_worker_flags_and_coordinator_routes():
     """The distributed surface is held to the same standard.
 

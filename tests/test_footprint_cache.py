@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.footprint_cache import FootprintCache
+from repro.core.block_state import PageBlockBits
+from repro.core.footprint_cache import FootprintCache, PageEntry
 from repro.core.footprint_predictor import FootprintHistoryTable
+from repro.core.overheads import footprint_tag_bytes
 from repro.core.singleton_table import SingletonTable
 from repro.mem.request import AccessType, MemoryRequest
 from tests.conftest import read, write
@@ -39,12 +41,36 @@ def run_visit(cache, page, offsets, pc, start=0, step=100):
 
 def evict_page(cache, victim_set_page, start=10_000):
     """Allocate enough conflicting multi-block pages to evict residents."""
-    stride = cache.tags.num_sets * 2048
+    stride = cache.num_sets * 2048
     base = victim_set_page + 64 * stride
-    for i in range(cache.tags.associativity + 1):
+    for i in range(cache.associativity + 1):
         # Use a multi-block footprint so the singleton filter never bypasses.
         page = base + i * stride
         run_visit(cache, page, [0, 1], pc=0xDEAD00 + 8 * i, start=start + i * 1000)
+
+
+class TestEntryState:
+    def test_blocks_start_empty(self):
+        entry = PageEntry(0, PageBlockBits(32), fht_key=(0, 0), predicted_mask=0b11)
+        assert entry.blocks.present_mask == 0
+        assert entry.demanded_mask == 0
+
+    def test_masks_proxy_block_bits(self):
+        entry = PageEntry(0, PageBlockBits(32), fht_key=(0, 0), predicted_mask=0b11)
+        entry.blocks.install_prefetched(0b11)
+        entry.blocks.mark_demanded(0, dirty=True)
+        assert entry.demanded_mask == 0b01
+        assert entry.dirty_mask == 0b01
+
+
+class TestGeometry:
+    def test_invalid_capacity(self, stacked, offchip):
+        with pytest.raises(ValueError, match="whole number of sets"):
+            FootprintCache(stacked, offchip, capacity_bytes=1000)
+
+    def test_invalid_block_size(self, stacked, offchip):
+        with pytest.raises(ValueError, match="multiple of block_size"):
+            FootprintCache(stacked, offchip, capacity_bytes=16 * 2048, page_size=32)
 
 
 class TestColdMiss:
@@ -168,7 +194,7 @@ class TestSingletonOptimization:
         result = cache.access(read(0x90000 + 4 * 64, pc=0x500), 100_000)
         assert not result.bypassed
         # The page was allocated (a bypass would have left it non-resident).
-        assert cache.tags.lookup(0x90000) is not None
+        assert 0x90000 in cache._tags
 
     def test_repeat_bypass_same_offset(self, cache):
         cache.access(read(0x10000 + 4 * 64, pc=0x500), 0)
@@ -182,7 +208,7 @@ class TestMetadata:
     def test_storage_includes_all_structures(self, cache):
         total = cache.storage_bytes()
         assert total == (
-            cache.tags.storage_bytes()
+            footprint_tag_bytes(16 * 2048, associativity=8)
             + cache.fht.storage_bytes()
             + cache.singleton_table.storage_bytes()
         )

@@ -71,6 +71,14 @@ class TestComponents:
         # The footprint entry carries two bit vectors and an FHT pointer.
         assert footprint_tag_bytes(64 * MB) > page_tag_bytes(64 * MB)
 
+    def test_paper_tag_storage_64mb(self):
+        # Table 4: 0.40MB for a 64MB Footprint Cache.
+        assert footprint_tag_bytes(64 * MB) == pytest.approx(0.40 * MB, rel=0.05)
+
+    def test_paper_tag_storage_512mb(self):
+        # Table 4: 3.12MB for a 512MB Footprint Cache.
+        assert footprint_tag_bytes(512 * MB) == pytest.approx(3.12 * MB, rel=0.05)
+
     def test_tags_scale_linearly(self):
         assert footprint_tag_bytes(128 * MB) == pytest.approx(
             2 * footprint_tag_bytes(64 * MB), rel=0.05

@@ -87,7 +87,7 @@ def test_footprint_cache_invariants(operations):
     assert 0.0 <= cache.miss_ratio <= 1.0
 
     # Table 2 invariants on every resident page.
-    for page, entry in cache.tags.entries():
+    for page, entry in cache._tags.items():
         bits = entry.blocks
         assert bits.dirty_mask & ~bits.demanded_mask == 0
         assert bits.demanded_mask & ~bits.present_mask == 0
@@ -96,7 +96,7 @@ def test_footprint_cache_invariants(operations):
         assert 0 <= entry.frame < 8 * 2048
 
     # Frames of resident pages are unique (no aliasing in stacked DRAM).
-    frames = [entry.frame for _, entry in cache.tags.entries()]
+    frames = [entry.frame for _, entry in cache._tags.items()]
     assert len(frames) == len(set(frames))
 
     # Traffic conservation: every off-chip read was either a fill or a
@@ -178,6 +178,6 @@ def test_footprint_and_subblock_same_allocation_decisions(operations, _):
     )
     replay(footprint, operations)
     replay(subblock, operations)
-    footprint_pages = sorted(page for page, _ in footprint.tags.entries())
+    footprint_pages = sorted(page for page, _ in footprint._tags.items())
     subblock_pages = sorted(page for page, _ in subblock._tags.items())
     assert footprint_pages == subblock_pages

@@ -8,10 +8,12 @@ doubles.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -298,3 +300,31 @@ def test_error_statuses(server):
     assert "plugins" in payload["error"]
     status, payload = request(base, "/figures/fig99", method="POST", payload={})
     assert status == 404
+
+
+@pytest.mark.parametrize("declared", ["abc", "-5"])
+def test_malformed_content_length_gets_400_and_close(http_stack, declared):
+    """A Content-Length that is not a size is a 400 that ends the connection.
+
+    Its body's extent is unknown, so the server must neither crash the
+    handler (``abc``) nor leave the body's bytes to be parsed as the next
+    request (``-5``): exactly one JSON error arrives, then EOF.
+    """
+    base, _ = http_stack()
+    split = urlsplit(base)
+    with socket.create_connection((split.hostname, split.port), timeout=10) as sock:
+        sock.sendall(
+            f"POST {API_PREFIX}/jobs HTTP/1.1\r\nHost: {split.netloc}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {declared}\r\n"
+            "\r\n{}".encode()
+        )
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    status_line, *headers = head.decode().split("\r\n")
+    assert status_line.split()[1] == "400"
+    assert "Connection: close" in headers
+    assert "Content-Length" in json.loads(body)["error"]
+    status, payload = request(base, "/health")
+    assert status == 200 and payload["status"] == "ok"

@@ -63,6 +63,11 @@ class TestZipfSampler:
         b = _ZipfSampler(500, 0.8)
         assert a._cdf is b._cdf
 
+    def test_close_alphas_get_their_own_cdf(self):
+        _ZipfSampler(1000, 0.5)
+        close = _ZipfSampler(1000, 0.5000001)
+        assert (close._cdf == _ZipfSampler._build_cdf(1000, 0.5000001)).all()
+
     def test_cache_bounded_by_lru(self):
         _ZipfSampler._cache.clear()
         bound = _ZipfSampler._cache_max_entries
@@ -81,7 +86,7 @@ class TestZipfSampler:
         # Flood the cache until (400, 1.2) is evicted ...
         for n in range(1000, 1000 + _ZipfSampler._cache_max_entries + 5):
             _ZipfSampler(n, 0.8)
-        assert (400, round(1.2, 6)) not in _ZipfSampler._cache
+        assert (400, 1.2) not in _ZipfSampler._cache
         # ... the live sampler keeps its CDF, and a recomputed sampler
         # produces identical ranks.
         assert [before.sample(u) for u in draws] == expected

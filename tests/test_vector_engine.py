@@ -60,11 +60,7 @@ def state_snapshot(sim):
                 for bank in channel
             ],
         }
-    sram = None
-    if hasattr(cache, "tags") and hasattr(cache.tags, "_tags"):
-        sram = cache.tags._tags
-    elif hasattr(cache, "_tags"):
-        sram = cache._tags
+    sram = getattr(cache, "_tags", None)
     if sram is not None:
         snap["tags"] = [
             [(key, repr(value)) for key, value in entries.items()]

@@ -10,7 +10,8 @@ live router actually exposes, with the right method.  Every
 ``REPRO_*`` environment variable the docs name must be one that code
 under ``src/`` or ``benchmarks/`` reads.  Every ``*.py`` file the
 ARCHITECTURE.md module map names must exist in its package under
-``src/repro/``.  This keeps README/ARCHITECTURE from drifting when the
+``src/repro/``, and every module there (``__init__.py`` aside) must be
+named in the map.  This keeps README/ARCHITECTURE from drifting when the
 CLI, API, knobs or modules evolve — the docs are checked against the
 parser, route table and code themselves, not a list that would itself
 go stale.
@@ -35,7 +36,8 @@ ENV_READ_RE = re.compile(r"""["'](REPRO_[A-Z0-9_]*[A-Z0-9])["']""")
 
 # The module map is the ARCHITECTURE.md fence that opens with
 # ``src/repro/``; a ``├── name/`` line starts a package, and every
-# ``*.py`` name below it must exist somewhere in that package.
+# ``*.py`` name below it must exist somewhere in that package.  Names
+# above the first package line are top-level modules.
 MODULE_MAP_DOC = "ARCHITECTURE.md"
 PACKAGE_ROOT = os.path.join("src", "repro")
 MODULE_MAP_PACKAGE_RE = re.compile(r"^[├└]── (\w+)/")
@@ -181,6 +183,26 @@ def missing_modules(text: str, root: str):
             }
         if name not in present[package]:
             yield number, f"{package}/{name}"
+
+
+def unmapped_modules(text: str, root: str):
+    """Yield ``src/repro``-relative paths of modules the map never names.
+
+    A module counts as named when its file name appears under its
+    top-level package (``exp/backends/base.py`` under ``exp/``).
+    """
+    named = {(package, name) for _, package, name in module_map_names(text)}
+    base = os.path.join(root, PACKAGE_ROOT)
+    for folder, _, files in sorted(os.walk(base)):
+        relative = os.path.relpath(folder, base)
+        package = "" if relative == os.curdir else relative.split(os.sep)[0]
+        for name in sorted(files):
+            if (
+                name.endswith(".py")
+                and name != "__init__.py"
+                and (package, name) not in named
+            ):
+                yield os.path.relpath(os.path.join(folder, name), base)
 
 
 def _template_matches(template: str, path: str) -> bool:
@@ -330,6 +352,10 @@ def main() -> int:
                 failures.append(
                     f"{doc}:{number}: the module map names {module}, which "
                     f"does not exist under {PACKAGE_ROOT}"
+                )
+            for module in unmapped_modules(text, REPO_ROOT):
+                failures.append(
+                    f"{doc}: the module map never names {PACKAGE_ROOT}/{module}"
                 )
         print(
             f"{doc}: {len(commands)} CLI invocation(s), "
