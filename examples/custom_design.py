@@ -71,7 +71,7 @@ class PairFetchCache(SubBlockedCache):
                 line.frame + buddy * self.block_size, self.block_size, True, done
             )
             line.demanded_mask |= 1 << buddy
-            self.stats.counter("fill_blocks").increment()
+            self.fill_blocks += 1
         return result
 
 

@@ -3,9 +3,12 @@
 Page density = number of demanded 64B blocks within a page during one
 cache residency.  Both paths below model an LRU page cache of the target
 capacity (exactly what the paper's page-based cache would retain) and
-histogram densities at eviction; pages still resident at the end of the
-trace contribute their current density, matching the paper's observation
-that the multiprogrammed workload's dense pages are cache-resident.
+count residencies per density at eviction, as a *bincount* whose entry
+``k`` is the number of residencies that demanded ``k`` blocks; pages
+still resident at the end of the trace contribute their current density,
+matching the paper's observation that the multiprogrammed workload's
+dense pages are cache-resident.  :func:`bucket_fractions` and
+:func:`mean_density` turn a bincount into Fig. 4's bars and means.
 
 * :class:`PageDensityTracker` is the readable reference: one
   :class:`~repro.mem.request.MemoryRequest` at a time through a generic
@@ -15,14 +18,13 @@ that the multiprogrammed workload's dense pages are cache-resident.
   block offset and set index, then one tight loop replays the same LRU
   sets as insertion-ordered dicts (a touch pops and re-inserts the page,
   the victim is the first key).  Every residency is recorded exactly
-  once, at eviction or at the end, so its histogram equals the
-  tracker's bucket for bucket; ``tests/test_analysis.py`` pins that on
+  once, at eviction or at the end, so its bincount equals the
+  tracker's entry for entry; ``tests/test_analysis.py`` pins that on
   every workload and capacity of Fig. 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +32,6 @@ import numpy as np
 from repro.caches.sram_cache import SetAssociativeCache
 from repro.bitops import popcount
 from repro.mem.request import MemoryRequest
-from repro.perf.stats import Histogram
 
 DENSITY_BUCKETS: Tuple[Tuple[int, int, str], ...] = (
     (1, 1, "1 Block"),
@@ -54,25 +55,28 @@ def _num_sets(capacity_bytes: int, page_size: int, associativity: int) -> int:
     return capacity_bytes // (page_size * associativity)
 
 
-def bucket_fractions(histogram: Histogram) -> Dict[str, float]:
-    """Fractions of a density histogram per Fig. 4 bucket."""
+def bucket_fractions(bincount: Sequence[int]) -> Dict[str, float]:
+    """Fraction of a bincount's residencies per Fig. 4 bucket.
+
+    Every fraction is 0.0 for a bincount with no residencies.
+    """
+    total = sum(bincount)
     return {
-        label: histogram.fraction_in_range(low, high)
+        label: sum(bincount[low:high + 1]) / total if total else 0.0
         for low, high, label in DENSITY_BUCKETS
     }
 
 
-def density_histogram(bincount: Sequence[int]) -> Histogram:
-    """A histogram holding ``bincount[k]`` residencies of ``k`` blocks."""
-    histogram = Histogram("page_density")
-    for blocks, count in enumerate(bincount):
-        if count:
-            histogram.record(blocks, count)
-    return histogram
+def mean_density(bincount: Sequence[int]) -> float:
+    """Mean demanded blocks per residency (0.0 for no residencies)."""
+    total = sum(bincount)
+    if total == 0:
+        return 0.0
+    return sum(blocks * count for blocks, count in enumerate(bincount)) / total
 
 
 class PageDensityTracker:
-    """LRU page cache that records demanded-block counts at eviction."""
+    """LRU page cache that counts residencies per density at eviction."""
 
     def __init__(
         self,
@@ -90,7 +94,7 @@ class PageDensityTracker:
             associativity=associativity,
             set_index=lambda page: (page // page_size) % num_sets,
         )
-        self.histogram = Histogram("page_density")
+        self.bincount: List[int] = [0] * (self.blocks_per_page + 1)
 
     def observe(self, request: MemoryRequest) -> None:
         """Fold one request into the residency tracking."""
@@ -100,24 +104,24 @@ class PageDensityTracker:
         if mask is None:
             eviction = self._pages.insert(page, 1 << offset)
             if eviction is not None:
-                self.histogram.record(popcount(eviction.payload))
+                self.bincount[popcount(eviction.payload)] += 1
         else:
             self._pages.insert(page, mask | 1 << offset)
 
-    def finish(self) -> Histogram:
-        """Flush resident pages into the histogram and return it.
+    def finish(self) -> List[int]:
+        """Flush resident pages into the bincount and return it.
 
         Flushed pages leave the cache, so calling this again records
         nothing twice.
         """
         for page, mask in list(self._pages.items()):
             self._pages.invalidate(page)
-            self.histogram.record(popcount(mask))
-        return self.histogram
+            self.bincount[popcount(mask)] += 1
+        return self.bincount
 
     def bucket_fractions(self) -> Dict[str, float]:
         """Fractions per Fig. 4 bucket (call after :meth:`finish`)."""
-        return bucket_fractions(self.histogram)
+        return bucket_fractions(self.bincount)
 
 
 def page_density_profile(
@@ -143,7 +147,7 @@ def density_bincount(
 
     Entry ``k`` of the result counts the page residencies that demanded
     ``k`` distinct blocks (entry 0 is always 0).  The counts equal
-    :class:`PageDensityTracker`'s histogram for the same requests and
+    :class:`PageDensityTracker`'s bincount for the same requests and
     geometry.
     """
     num_sets = _num_sets(capacity_bytes, page_size, associativity)

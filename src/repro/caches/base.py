@@ -10,8 +10,7 @@ energy, so Figs. 5b, 10 and 11 fall out of the same run as Fig. 5a.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.dram.controller import MemoryController
 from repro.mem.request import (
@@ -20,7 +19,6 @@ from repro.mem.request import (
     MemoryRequest,
     _require_power_of_two,
 )
-from repro.perf.stats import StatGroup
 
 
 @dataclass(slots=True)
@@ -62,6 +60,8 @@ class DramCache(abc.ABC):
 
     Concrete designs implement :meth:`access`; the shared bookkeeping here
     (hit/miss counters, traffic attribution) keeps the designs comparable.
+    The counters are plain ``int`` attributes, like the controllers',
+    named once in :meth:`reset_stats`.
     """
 
     name = "abstract"
@@ -79,30 +79,11 @@ class DramCache(abc.ABC):
         # access: ``address & _block_mask`` is ``block_address(address)``.
         _require_power_of_two(block_size, "block_size")
         self._block_mask = ~(block_size - 1)
-        self.stats = StatGroup(self.name)
-        # The per-access counters, bound to attributes at construction so
-        # the hot path skips the StatGroup dict lookup.  StatGroup.reset()
-        # zeroes counters in place, so the bindings survive warm-up resets.
-        self._c_accesses = self.stats.counter("accesses")
-        self._c_hits = self.stats.counter("hits")
-        self._c_bypasses = self.stats.counter("bypasses")
-        self._c_fill_blocks = self.stats.counter("fill_blocks")
-        self._c_writeback_blocks = self.stats.counter("writeback_blocks")
-        self._c_total_latency = self.stats.counter("total_latency")
+        self.reset_stats()
 
     @abc.abstractmethod
     def access(self, request: MemoryRequest, now: int) -> CacheAccessResult:
         """Service ``request`` arriving at CPU cycle ``now``."""
-
-    @property
-    def accesses(self) -> int:
-        """Requests seen so far."""
-        return self.stats.counter("accesses").value
-
-    @property
-    def hits(self) -> int:
-        """Requests served from stacked DRAM."""
-        return self.stats.counter("hits").value
 
     @property
     def misses(self) -> int:
@@ -135,26 +116,28 @@ class DramCache(abc.ABC):
         return fetch.latency - timing.to_cpu_cycles(max(0, tail_bus_cycles))
 
     def _record(self, result: CacheAccessResult) -> CacheAccessResult:
-        """Fold one access result into the shared statistics.
-
-        Uses the counters bound in ``__init__`` and bumps their values
-        directly; every recorded amount is non-negative by construction,
-        so the :meth:`~repro.perf.stats.Counter.increment` guard adds
-        nothing here.
-        """
-        self._c_accesses._value += 1
+        """Fold one access result into the five shared counters."""
+        self.accesses += 1
         if result.hit:
-            self._c_hits._value += 1
+            self.hits += 1
         if result.bypassed:
-            self._c_bypasses._value += 1
-        self._c_fill_blocks._value += result.fill_blocks
-        self._c_writeback_blocks._value += result.writeback_blocks
-        self._c_total_latency._value += result.latency
+            self.bypasses += 1
+        self.fill_blocks += result.fill_blocks
+        self.writeback_blocks += result.writeback_blocks
         return result
 
     def reset_stats(self) -> None:
-        """End-of-warm-up reset of this design's statistics."""
-        self.stats.reset()
+        """Zero this design's counters (construction and end of warm-up).
+
+        ``__init__`` calls this before a subclass's own ``__init__`` body
+        runs, so an override may only assign counters (and must call
+        ``super().reset_stats()``); cached contents are never touched.
+        """
+        self.accesses = 0  # requests seen
+        self.hits = 0  # requests served from stacked DRAM
+        self.bypasses = 0  # requests served off-chip by design
+        self.fill_blocks = 0  # blocks fetched from off-chip memory
+        self.writeback_blocks = 0  # dirty blocks written back off-chip
 
 
 class BaselineMemory(DramCache):

@@ -15,7 +15,6 @@ requests for absent blocks straight to off-chip memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.caches.base import CacheAccessResult, DramCache
 from repro.caches.missmap import MissMap
@@ -131,8 +130,13 @@ class BlockBasedCache(DramCache):
             line = self._tags.invalidate(lost_block)
             if line is not None:
                 writebacks += self._evict(lost_block, line, now, update_missmap=False)
-                self.stats.counter("missmap_forced_evictions").increment()
+                self.missmap_forced_evictions += 1
         return writebacks
+
+    def reset_stats(self) -> None:
+        super().reset_stats()
+        # Resident blocks purged because their MissMap segment was evicted.
+        self.missmap_forced_evictions = 0
 
     def _evict(
         self, block: int, line: _BlockLine, now: int, update_missmap: bool = True

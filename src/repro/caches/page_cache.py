@@ -15,8 +15,8 @@ feeds back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.caches.base import CacheAccessResult, DramCache
 from repro.caches.sram_cache import SetAssociativeCache
@@ -165,9 +165,8 @@ class PageBasedCache(DramCache):
         Returns the number of dirty blocks written back.  The victim is
         read out of stacked DRAM in one row operation and its dirty blocks
         go off-chip — the paper's "mostly dirty evictions" traffic.  The
-        victim's entry may be any type with ``frame``, ``dirty_mask`` and
-        ``demanded_mask`` (a :class:`PageLine`, or the Footprint Cache's
-        ``PageEntry``).
+        victim's entry may be any type with ``frame`` and ``dirty_mask``
+        (a :class:`PageLine`, or the Footprint Cache's ``PageEntry``).
         """
         candidate = self._tags.victim_candidate(page)
         if candidate is None:
@@ -180,7 +179,6 @@ class PageBasedCache(DramCache):
             self.stacked.access(line.frame, dirty * self.block_size, False, now)
             self.offchip.access(victim_page, dirty * self.block_size, True, now)
         self._frames.release(self._set_of(victim_page), line.frame)
-        self.stats.histogram("eviction_density").record(popcount(line.demanded_mask))
         return dirty
 
     def _on_evict(self, page: int, line: PageLine) -> None:

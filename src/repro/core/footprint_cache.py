@@ -108,7 +108,6 @@ class FootprintCache(PageBasedCache):
         self.singleton_table = singleton_table or (
             SingletonTable() if singleton_optimization else None
         )
-        self.predictor_stats = PredictorStats()
 
     # ------------------------------------------------------------------
     # Access flow
@@ -163,7 +162,7 @@ class FootprintCache(PageBasedCache):
         This is the cost of an underprediction (Section 3.1): a full
         off-chip round trip, exactly as in a sub-blocked cache.
         """
-        self.stats.counter("underprediction_misses").increment()
+        self.underprediction_misses += 1
         fetch = self.offchip.access(
             request.address & self._block_mask, self.block_size, False, now + latency
         )
@@ -197,7 +196,7 @@ class FootprintCache(PageBasedCache):
                     # an underprediction.  Allocate it with the original
                     # PC & offset found in the ST (Section 4.4).
                     self.singleton_table.on_second_access(page)
-                    self.stats.counter("singleton_corrections").increment()
+                    self.singleton_corrections += 1
                     return self._allocate_and_fetch(
                         page,
                         offset,
@@ -246,7 +245,6 @@ class FootprintCache(PageBasedCache):
         rerecord: bool,
     ) -> CacheAccessResult:
         """Serve a predicted-singleton block off-chip without allocating."""
-        self.stats.counter("singleton_bypasses").increment()
         is_write = request.access_type is AccessType.WRITE
         fetch = self.offchip.access(
             request.address & self._block_mask,
@@ -320,12 +318,16 @@ class FootprintCache(PageBasedCache):
         self.predictor_stats.overpredicted_blocks += _popcount(predicted & ~demanded)
 
     def reset_stats(self) -> None:
-        """End-of-warm-up reset: zero accuracy accounting, keep learned state.
+        """Zero the counters and accuracy accounting, keep learned state.
 
         The FHT and ST contents persist (they are warmed microarchitectural
         state, like the cache itself); only the measurement counters reset.
         """
         super().reset_stats()
+        # Demanded blocks absent from a resident page (Section 3.1).
+        self.underprediction_misses = 0
+        # Second accesses that reclassified a bypassed singleton page.
+        self.singleton_corrections = 0
         self.predictor_stats = PredictorStats()
 
     def storage_bytes(self) -> int:

@@ -6,7 +6,8 @@ DRAM cache a *post-L2* stream directly (the workload generators are
 calibrated at that level), but the full hierarchy is available for
 studies that need it — e.g. replaying raw traces with short-term reuse,
 or the enhanced-baseline experiment of Section 6.3 (baseline with extra
-L2 capacity instead of DRAM-cache tags).
+L2 capacity instead of DRAM-cache tags).  The level is write-back and
+write-no-allocate: a write miss goes straight to the level below.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.mem.request import (
     MemoryRequest,
     _require_power_of_two,
 )
-from repro.perf.stats import StatGroup
 
 
 @dataclass(slots=True)
@@ -32,11 +32,12 @@ class _L2Line:
 
 
 class L2Cache:
-    """Unified, set-associative, write-back/write-allocate SRAM cache.
+    """Unified, set-associative, write-back/write-no-allocate SRAM cache.
 
-    Dirty victims are written *into the DRAM cache level* (they become
-    the dirty evictions the paper discusses in Section 2), charged off
-    the critical path.
+    Only read misses allocate; a write hit dirties its line, and a write
+    miss is forwarded below without caching anything.  Dirty victims are
+    written *into the DRAM cache level* (they become the dirty evictions
+    the paper discusses in Section 2), charged off the critical path.
     """
 
     def __init__(
@@ -46,7 +47,6 @@ class L2Cache:
         associativity: int = 16,
         hit_latency: int = 13,
         block_size: int = BLOCK_SIZE,
-        write_allocate: bool = True,
     ) -> None:
         if capacity_bytes % (block_size * associativity):
             raise ValueError("capacity must be a whole number of sets")
@@ -55,28 +55,15 @@ class L2Cache:
         self.associativity = associativity
         self.hit_latency = hit_latency
         self.block_size = block_size
-        self.write_allocate = write_allocate
         num_sets = capacity_bytes // (block_size * associativity)
         self._lines: SetAssociativeCache[int, _L2Line] = SetAssociativeCache(
             num_sets=num_sets,
             associativity=associativity,
             set_index=lambda block: (block // block_size) % num_sets,
         )
-        self.stats = StatGroup("l2")
         _require_power_of_two(block_size, "block_size")
         self._block_mask = ~(block_size - 1)
-        self._c_accesses = self.stats.counter("accesses")
-        self._c_hits = self.stats.counter("hits")
-
-    @property
-    def accesses(self) -> int:
-        """Requests seen."""
-        return self.stats.counter("accesses").value
-
-    @property
-    def hits(self) -> int:
-        """Requests served from SRAM."""
-        return self.stats.counter("hits").value
+        self.reset_stats()
 
     @property
     def hit_ratio(self) -> float:
@@ -87,39 +74,20 @@ class L2Cache:
 
     def access(self, request: MemoryRequest, now: int) -> CacheAccessResult:
         """Service one core request; misses recurse into the DRAM cache."""
-        self._c_accesses._value += 1
+        self.accesses += 1
         block = request.address & self._block_mask
         line = self._lines.lookup(block)
         if line is not None:
-            self._c_hits._value += 1
+            self.hits += 1
             if request.access_type is AccessType.WRITE:
                 line.dirty = True
             return CacheAccessResult(hit=True, latency=self.hit_latency)
 
-        if request.is_write and not self.write_allocate:
-            # Write-no-allocate: forward the write below, cache nothing.
-            below = self.backing.access(request, now + self.hit_latency)
-            return CacheAccessResult(
-                hit=below.hit,
-                latency=self.hit_latency + below.latency,
-                bypassed=below.bypassed,
-                fill_blocks=below.fill_blocks,
-                writeback_blocks=below.writeback_blocks,
-            )
-
-        # Miss: write-allocate — the level below always services a *read*
-        # (the write is absorbed here and written back at eviction).
-        fill = request if not request.is_write else MemoryRequest(
-            address=request.address,
-            pc=request.pc,
-            access_type=AccessType.READ,
-            core_id=request.core_id,
-            instruction_count=request.instruction_count,
-        )
-        below = self.backing.access(fill, now + self.hit_latency)
-        eviction = self._lines.insert(block, _L2Line(dirty=request.is_write))
+        below = self.backing.access(request, now + self.hit_latency)
+        # Write-no-allocate: a write miss caches nothing.
+        eviction = None if request.is_write else self._lines.insert(block, _L2Line())
         if eviction is not None and eviction.payload.dirty:
-            self.stats.counter("dirty_writebacks").increment()
+            self.dirty_writebacks += 1
             writeback = MemoryRequest(
                 address=eviction.key,
                 pc=request.pc,
@@ -138,5 +106,10 @@ class L2Cache:
         )
 
     def reset_stats(self) -> None:
-        """End-of-warm-up reset (keeps cached contents)."""
-        self.stats.reset()
+        """Zero the counters (construction and end of warm-up).
+
+        Cached contents survive.
+        """
+        self.accesses = 0  # requests seen
+        self.hits = 0  # requests served from SRAM
+        self.dirty_writebacks = 0  # dirty victims written below

@@ -19,9 +19,9 @@ the per-request replay inner loop:
   TRACE.ndjson``: per-phase time profile, top sinks, store-hit ratio,
   per-worker throughput and lease churn from a trace file alone.
 
-Instrumentation aggregates from the simulator's existing
-:class:`~repro.perf.stats.StatGroup` counters at point boundaries, so
-stored results stay byte-identical and replay pays nothing per request.
+Instrumentation aggregates from the simulator's existing ``int``
+counters at point boundaries, so stored results stay byte-identical
+and replay pays nothing per request.
 Each ``point.simulate`` span records which path replayed the point
 (``kernel``: a batch kernel, or the scalar reference loop); the
 repository benchmark (``perfbench/README.md``) turns traces of whole

@@ -10,8 +10,8 @@ exposes it two ways: ``GET /api/v1/metrics`` returns
 Design constraints, in order:
 
 * **Never on the replay inner loop.**  Instruments fire at point /
-  request-batch boundaries only; the per-request hot path keeps its
-  existing ``__slots__`` :class:`~repro.perf.stats.Counter` objects and
+  request-batch boundaries only; the per-request hot path keeps
+  counting in the simulated components' plain ``int`` attributes and
   this registry aggregates from them after the fact.
 * **Thread-safe.**  The serve layer scrapes from HTTP handler threads
   while the job pool and coordinator mutate concurrently; one

@@ -33,7 +33,7 @@ from repro.analysis.page_density import (
     DENSITY_BUCKETS,
     bucket_fractions,
     density_bincount,
-    density_histogram,
+    mean_density,
 )
 from repro.analysis.report import format_table, percent
 from repro.core.overheads import table4
@@ -204,17 +204,16 @@ def render_fig04(ctx):
         densities, _ = trace_analyses(workload)
         profiles = all_profiles[workload] = {}
         for capacity, bincount in zip(CAPACITIES_MB, densities):
-            histogram = density_histogram(bincount)
-            profiles[capacity] = (bucket_fractions(histogram), histogram.mean())
+            profiles[capacity] = (bucket_fractions(bincount), mean_density(bincount))
     labels = [label for _, _, label in DENSITY_BUCKETS]
     rows = []
     for workload in WORKLOAD_NAMES:
         for capacity in CAPACITIES_MB:
-            fractions, mean_density = all_profiles[workload][capacity]
+            fractions, mean = all_profiles[workload][capacity]
             rows.append(
                 (PRETTY[workload], f"{capacity}MB")
                 + tuple(percent(fractions[label]) for label in labels)
-                + (f"{mean_density:.1f}",)
+                + (f"{mean:.1f}",)
             )
     headers = ("Workload", "Capacity") + tuple(labels) + ("Mean",)
     ctx.emit(

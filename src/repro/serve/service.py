@@ -185,10 +185,16 @@ def match_route(pattern: str, path: str) -> Optional[Dict[str, str]]:
 
 
 def _int_query(query: Dict[str, str], name: str, default: int) -> int:
+    """A non-negative integer query parameter (a cursor), else a 400."""
     try:
-        return int(query.get(name, default))
+        value = int(query.get(name, default))
+        if value < 0:
+            raise ValueError(value)
     except (TypeError, ValueError):
-        raise ServiceError(400, f"query parameter {name!r} must be an integer")
+        raise ServiceError(
+            400, f"query parameter {name!r} must be a non-negative integer"
+        )
+    return value
 
 
 def _ndjson(events: Iterator[Dict[str, Any]]) -> Iterator[str]:

@@ -264,7 +264,6 @@ class Simulator:
         offchip = self.system.offchip
         stacked = self.system.stacked
         accesses = max(1, cache.accesses)
-        bypasses = cache.stats.counter("bypasses").value
 
         coverage = underprediction = overprediction = None
         if isinstance(cache, FootprintCache):
@@ -280,7 +279,7 @@ class Simulator:
             requests=measured,
             miss_ratio=cache.miss_ratio,
             hit_ratio=cache.hit_ratio,
-            bypass_ratio=bypasses / accesses,
+            bypass_ratio=cache.bypasses / accesses,
             performance=self.perf.result(),
             offchip_bytes=offchip.total_bytes,
             offchip_read_bytes=offchip.bytes_read,
@@ -292,8 +291,8 @@ class Simulator:
             stacked_row_hit_ratio=stacked.row_hit_ratio if stacked else 0.0,
             stacked_activate_nj=stacked.energy.activate_precharge_nj if stacked else 0.0,
             stacked_read_write_nj=stacked.energy.burst_nj if stacked else 0.0,
-            fill_blocks=cache.stats.counter("fill_blocks").value,
-            writeback_blocks=cache.stats.counter("writeback_blocks").value,
+            fill_blocks=cache.fill_blocks,
+            writeback_blocks=cache.writeback_blocks,
             predictor_coverage=coverage,
             predictor_underprediction=underprediction,
             predictor_overprediction=overprediction,

@@ -154,14 +154,13 @@ def build_system(config: SimulationConfig) -> System:
     frontend: Union[DramCache, L2Cache] = cache
     if config.system.extra_l2_bytes:
         # Section 6.3: grow the existing L2 instead of spending SRAM on
-        # cache tags.  Write-no-allocate and zero added hit latency model
-        # the pure capacity effect of growing an array that is already
-        # on the access path.
+        # cache tags.  The L2's write-no-allocate policy and zero added
+        # hit latency model the pure capacity effect of growing an array
+        # that is already on the access path.
         frontend = L2Cache(
             cache,
             capacity_bytes=config.system.extra_l2_bytes,
             hit_latency=config.system.extra_l2_hit_latency,
-            write_allocate=False,
         )
     workload = make_workload(
         config.workload,

@@ -20,11 +20,13 @@ bit-exact equivalence per design x workload x seed.
 Mirroring rules that make the parity hold to the last bit:
 
 * Int counters (access/hit/byte/cycle counts) accumulate in locals and
-  flush at segment end — integer addition is exact and the scalar path
-  touches no other accumulators meanwhile (the kernel IS the only
-  writer during a segment).  Counts that are linear in other counts
-  (controller access totals, block-sized byte totals) are derived at
-  flush time instead of incremented per event.
+  flush at segment end into the same ``int`` attributes the reference
+  bumps (the cache's counters, the controllers', the FHT's) — integer
+  addition is exact and the scalar path touches no other accumulators
+  meanwhile (the kernel IS the only writer during a segment).  Counts
+  that are linear in other counts (controller access totals,
+  block-sized byte totals) are derived at flush time instead of
+  incremented per event.
 * Energy floats accumulate in locals seeded from the controller's
   current values and store back at segment end.  Because the kernel
   adds the same addends in the same stream order as the reference, the
@@ -44,10 +46,6 @@ Mirroring rules that make the parity hold to the last bit:
   does.  A touch of the most-recently-used key is a no-op, so the
   kernels track the MRU key per tag set and skip the delete/re-insert
   pair for repeated touches — the dominant pattern in paged streams.
-* Lazily created statistics (``underprediction_misses``,
-  ``eviction_density``, ...) are only instantiated when the count is
-  non-zero, matching the reference's create-on-first-event timing so
-  ``StatGroup.as_dict`` has identical keys.
 
 ``build_kernel`` returns None when any assumption fails (custom
 subclasses, close-page controllers, an L2 frontend); ``engine.replay``
@@ -192,7 +190,6 @@ class _BaselineKernel:
         row_hits = 0
         busy = 0
         writes_seen = 0
-        total_latency = 0
         for k in range(m):
             w = writes_l[k]
             bank = banks[flat_l[k]]
@@ -217,9 +214,7 @@ class _BaselineKernel:
             start = bz if bz > now else now
             finish = start + dc
             bank.busy_until = finish
-            latency = finish - now
-            ct[c] = t + (icb_l[k] + latency * exposed)
-            total_latency += latency
+            ct[c] = t + (icb_l[k] + (finish - now) * exposed)
             busy += dc
             if w:
                 e_wr += wr_nj
@@ -237,9 +232,8 @@ class _BaselineKernel:
         controller.bytes_written += writes_seen * bs
         controller.bytes_read += reads_seen * bs
         cache = self.cache
-        cache._c_accesses._value += m
-        cache._c_fill_blocks._value += reads_seen
-        cache._c_total_latency._value += total_latency
+        cache.accesses += m
+        cache.fill_blocks += reads_seen
         return int(cols.instruction_counts.sum())
 
 
@@ -269,7 +263,6 @@ class _StackedKernelBase:
         # Critical-block-first burst tails by fetch size, computed with
         # DramCache._critical_fetch_latency's exact expression.
         self._tails = {}
-        self._hist = None
         sram = cache._tags
         self.num_sets = sram.num_sets
         self.associativity = sram.associativity
@@ -305,17 +298,6 @@ class _StackedKernelBase:
             tail = timing.to_cpu_cycles(max(0, tail_bus))
             self._tails[num_bytes] = tail
         return tail
-
-    def _histogram(self):
-        """The eviction-density histogram, created on first eviction.
-
-        Created lazily so a segment with no evictions leaves
-        ``StatGroup.as_dict`` without the histogram keys, exactly like
-        the reference.
-        """
-        if self._hist is None:
-            self._hist = self.cache.stats.histogram("eviction_density")
-        return self._hist
 
     def _columns(self, cols):
         """Segment columns as flat Python lists."""
@@ -387,7 +369,7 @@ class _PageKernel(_StackedKernelBase):
         o_rowhit = o_busy = 0
         s_brd_v = o_bwr_v = 0
         n_hr = n_hw = n_alloc = n_dirty = 0
-        c_wb = c_lat = 0
+        c_wb = 0
 
         for k in range(m):
             page = pages_l[k]
@@ -505,10 +487,6 @@ class _PageKernel(_StackedKernelBase):
                         oe_wr += nb / 64.0 * o_wr64
                         o_bwr_v += nb
                     frame_free[sid].append(vline.frame // page_size - sid * assoc)
-                    hist = self._hist
-                    if hist is None:
-                        hist = self._histogram()
-                    hist.record(vline.demanded_mask.bit_count())
                     wb = dirty
                 n_alloc += 1
                 frame = (sid * assoc + frame_free[sid].pop()) * page_size
@@ -568,7 +546,6 @@ class _PageKernel(_StackedKernelBase):
                 mru[sid] = page
                 c_wb += wb
             ct[c] = t + (icb_l[k] + latency * exposed)
-            c_lat += latency
 
         s_energy.activate_precharge_nj = se_act
         s_energy.read_nj = se_rd
@@ -587,11 +564,10 @@ class _PageKernel(_StackedKernelBase):
         o_ctrl.busy_cpu_cycles += o_busy
         o_ctrl.bytes_read += n_alloc * page_size
         o_ctrl.bytes_written += o_bwr_v
-        cache._c_accesses._value += m
-        cache._c_hits._value += c_hit
-        cache._c_fill_blocks._value += n_alloc * self.blocks_per_page
-        cache._c_writeback_blocks._value += c_wb
-        cache._c_total_latency._value += c_lat
+        cache.accesses += m
+        cache.hits += c_hit
+        cache.fill_blocks += n_alloc * self.blocks_per_page
+        cache.writeback_blocks += c_wb
         return int(cols.instruction_counts.sum())
 
 
@@ -689,7 +665,7 @@ class _FootprintKernel(_StackedKernelBase):
         o_rowhit = o_busy = 0
         s_brd_v = s_bwr_v = o_brd_v = o_bwr_v = 0
         n_hr = n_hw = n_alloc = n_dirty = 0
-        c_fill_v = c_wb = c_lat = 0
+        c_fill_v = c_wb = 0
         n_under = n_corr = n_byp = n_byp_w = 0
         f_lookups = f_hits = f_updates = f_stale = 0
         st_rec = st_second = 0
@@ -813,7 +789,6 @@ class _FootprintKernel(_StackedKernelBase):
                     else:
                         blocks.low_mask = low & ~bit
                 ct[c] = t + (icb_l[k] + latency * exposed)
-                c_lat += latency
                 continue
 
             # ---- page miss: ST, FHT, then allocate or bypass --------
@@ -906,7 +881,6 @@ class _FootprintKernel(_StackedKernelBase):
                     sdict[page] = SingletonEntry(pc=pc, offset=off)
                     st_rec += 1
                 ct[c] = t + (icb_l[k] + latency * exposed)
-                c_lat += latency
                 continue
 
             # ---- allocate and fetch the predicted footprint ---------
@@ -939,10 +913,6 @@ class _FootprintKernel(_StackedKernelBase):
                 ps_cov += (demanded & vpred).bit_count()
                 ps_und += (demanded & ~vpred).bit_count()
                 ps_ovr += (vpred & ~demanded).bit_count()
-                hist = self._hist
-                if hist is None:
-                    hist = self._histogram()
-                hist.record(demanded.bit_count())
                 dirty = (demanded & vblocks.low_mask).bit_count()
                 if dirty:
                     n_dirty += 1
@@ -1080,7 +1050,6 @@ class _FootprintKernel(_StackedKernelBase):
             ct[c] = t + (icb_l[k] + latency * exposed)
             c_fill_v += fb
             c_wb += wb
-            c_lat += latency
 
         s_energy.activate_precharge_nj = se_act
         s_energy.read_nj = se_rd
@@ -1100,21 +1069,13 @@ class _FootprintKernel(_StackedKernelBase):
         o_ctrl.busy_cpu_cycles += o_busy
         o_ctrl.bytes_read += (n_under + n_byp_r) * bs + o_brd_v
         o_ctrl.bytes_written += n_byp_w * bs + o_bwr_v
-        cache._c_accesses._value += m
-        cache._c_hits._value += c_hit
-        cache._c_bypasses._value += n_byp
-        cache._c_fill_blocks._value += n_under + n_byp_r + c_fill_v
-        cache._c_writeback_blocks._value += c_wb
-        cache._c_total_latency._value += c_lat
-        stats = cache.stats
-        # Lazily named counters: only materialise on first event, like
-        # the reference's get-or-create-on-increment.
-        if n_under:
-            stats.counter("underprediction_misses")._value += n_under
-        if n_corr:
-            stats.counter("singleton_corrections")._value += n_corr
-        if n_byp:
-            stats.counter("singleton_bypasses")._value += n_byp
+        cache.accesses += m
+        cache.hits += c_hit
+        cache.bypasses += n_byp
+        cache.fill_blocks += n_under + n_byp_r + c_fill_v
+        cache.writeback_blocks += c_wb
+        cache.underprediction_misses += n_under
+        cache.singleton_corrections += n_corr
         fht = self.fht
         fht.lookups += f_lookups
         fht.hits += f_hits

@@ -13,8 +13,9 @@ from repro.analysis.coverage import (
 from repro.analysis.page_density import (
     DENSITY_BUCKETS,
     PageDensityTracker,
+    bucket_fractions,
     density_bincount,
-    density_histogram,
+    mean_density,
     page_density_profile,
 )
 from repro.analysis.predictor_accuracy import AccuracyBreakdown, predictor_accuracy
@@ -35,12 +36,12 @@ def column(requests):
     return np.array([r.address for r in requests], dtype=np.int64)
 
 
-def reference_histogram(addresses, capacity_bytes, **geometry):
-    """PageDensityTracker's histogram over the same addresses."""
+def reference_bincount(addresses, capacity_bytes, **geometry):
+    """PageDensityTracker's bincount over the same addresses."""
     tracker = PageDensityTracker(capacity_bytes, **geometry)
     for address in addresses:
         tracker.observe(request(int(address)))
-    return tracker.finish()
+    return tuple(tracker.finish())
 
 
 class TestPageDensity:
@@ -54,21 +55,21 @@ class TestPageDensity:
         tracker = PageDensityTracker(capacity_bytes=16 * 2048)
         tracker.observe(request(0))
         tracker.finish()
-        assert tracker.histogram.count(1) == 1
+        assert tracker.bincount[1] == 1
 
     def test_finish_is_idempotent(self):
         tracker = PageDensityTracker(capacity_bytes=16 * 2048)
         tracker.observe(request(0))
-        first = list(tracker.finish().items())
-        assert list(tracker.finish().items()) == first
-        assert tracker.histogram.total == 1
+        first = list(tracker.finish())
+        assert list(tracker.finish()) == first
+        assert sum(tracker.bincount) == 1
 
     def test_density_counts_unique_blocks(self):
         tracker = PageDensityTracker(capacity_bytes=16 * 2048)
         for offset in (0, 64, 64, 128):
             tracker.observe(request(offset))
         tracker.finish()
-        assert tracker.histogram.count(3) == 1
+        assert tracker.bincount[3] == 1
 
     def test_eviction_flushes_density(self):
         # 1 set x 2 ways: third page evicts the first.
@@ -77,7 +78,7 @@ class TestPageDensity:
         tracker.observe(request(64))
         tracker.observe(request(2048))
         tracker.observe(request(2 * 2048))
-        assert tracker.histogram.count(2) == 1  # page 0 evicted with 2 blocks
+        assert tracker.bincount[2] == 1  # page 0 evicted with 2 blocks
 
     def test_bucket_fractions_sum_to_one(self):
         tracker = PageDensityTracker(capacity_bytes=16 * 2048)
@@ -97,6 +98,31 @@ class TestPageDensity:
             PageDensityTracker(capacity_bytes=1000)
 
 
+class TestBincountSummaries:
+    """Fig. 4's bars and means, read off a bincount."""
+
+    def test_fraction_in_range(self):
+        # One residency each of 1, 2, 3 and 4 blocks.
+        fractions = bucket_fractions((0, 1, 1, 1, 1))
+        assert fractions["1 Block"] == pytest.approx(0.25)
+        assert fractions["2-3 Blocks"] == pytest.approx(0.5)
+        assert fractions["4-7 Blocks"] == pytest.approx(0.25)
+        assert fractions["32 Blocks"] == 0.0
+
+    def test_fraction_empty(self):
+        assert set(bucket_fractions((0,) * 33).values()) == {0.0}
+        assert set(bucket_fractions(()).values()) == {0.0}
+
+    def test_mean(self):
+        bincount = [0] * 33
+        bincount[2] = bincount[4] = 2
+        assert mean_density(bincount) == pytest.approx(3.0)
+
+    def test_mean_empty(self):
+        assert mean_density((0,) * 33) == 0.0
+        assert mean_density(()) == 0.0
+
+
 class TestDensityKernel:
     """The column kernel Fig. 4 runs equals the per-request reference."""
 
@@ -111,9 +137,9 @@ class TestDensityKernel:
                 capacity_bytes = capacity * figures.MB // figures.SCALE
                 bincount = density_bincount(addresses, capacity_bytes)
                 assert bincount[0] == 0
-                assert list(density_histogram(bincount).items()) == list(
-                    reference_histogram(addresses, capacity_bytes).items()
-                ), (workload, capacity)
+                assert bincount == reference_bincount(addresses, capacity_bytes), (
+                    workload, capacity,
+                )
 
     @pytest.mark.parametrize(
         "addresses, capacity_bytes, associativity, expected",
@@ -135,12 +161,10 @@ class TestDensityKernel:
             np.array(addresses, dtype=np.int64), capacity_bytes,
             associativity=associativity,
         )
-        histogram = density_histogram(bincount)
-        assert dict(histogram.items()) == expected
-        reference = reference_histogram(
+        assert {k: n for k, n in enumerate(bincount) if n} == expected
+        assert bincount == reference_bincount(
             addresses, capacity_bytes, associativity=associativity
         )
-        assert list(histogram.items()) == list(reference.items())
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):

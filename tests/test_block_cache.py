@@ -88,7 +88,7 @@ class TestMissMapInteraction:
         cache.access(read(2 * 4096), 20)
         result = cache.access(read(0), 30)
         assert not result.hit
-        assert cache.stats.counter("missmap_forced_evictions").value >= 1
+        assert cache.missmap_forced_evictions >= 1
 
     def test_missmap_dirty_purge_writes_back(self, stacked, offchip):
         missmap = MissMap(num_entries=2, associativity=1)

@@ -7,7 +7,7 @@ profile edits that would invalidate EXPERIMENTS.md fail loudly here.
 
 import pytest
 
-from repro.analysis.page_density import PageDensityTracker
+from repro.analysis.page_density import PageDensityTracker, mean_density
 from repro.workloads.cloudsuite import WORKLOAD_NAMES, make_workload
 from repro.workloads.trace import trace_statistics
 
@@ -34,8 +34,8 @@ def density(trace, capacity_bytes):
 class TestFig4Shapes:
     def test_density_grows_with_capacity(self, traces):
         for name, trace in traces.items():
-            small = density(trace, 256 * 1024).histogram.mean()
-            large = density(trace, 2 * MB).histogram.mean()
+            small = mean_density(density(trace, 256 * 1024).bincount)
+            large = mean_density(density(trace, 2 * MB).bincount)
             assert large >= small * 0.9, name
 
     def test_singletons_significant_everywhere(self, traces):
@@ -45,7 +45,7 @@ class TestFig4Shapes:
 
     def test_web_search_densest(self, traces):
         means = {
-            name: density(trace, 2 * MB).histogram.mean()
+            name: mean_density(density(trace, 2 * MB).bincount)
             for name, trace in traces.items()
         }
         assert means["web_search"] == max(means.values())
@@ -53,7 +53,7 @@ class TestFig4Shapes:
     def test_mapreduce_among_sparsest(self, traces):
         """MapReduce and SAT Solver are the paper's low-density workloads."""
         means = {
-            name: density(trace, 2 * MB).histogram.mean()
+            name: mean_density(density(trace, 2 * MB).bincount)
             for name, trace in traces.items()
         }
         ranked = sorted(means, key=means.get)

@@ -310,7 +310,6 @@ class TestBuildSystem:
         assert system.frontend.backing is system.cache
         assert system.frontend.capacity_bytes == 16384
         assert system.frontend.hit_latency == 0
-        assert not system.frontend.write_allocate
 
     def test_no_extra_l2_frontend_is_the_cache(self):
         config = SimulationConfig.scaled("web_search", "baseline", 64, scale=256)
@@ -329,3 +328,32 @@ class TestBuildSystem:
         system.reset_stats()
         assert system.frontend.accesses == 0
         assert system.cache.accesses == 0
+
+    @pytest.mark.parametrize("extra_l2_bytes", (0, 16384), ids=("no-l2", "l2"))
+    @pytest.mark.parametrize(
+        "design",
+        ("baseline", "ideal", "block", "page", "footprint", "subblock", "chop"),
+    )
+    def test_reset_stats_restores_every_counter(self, design, extra_l2_bytes):
+        """After a reset, every ``int`` of the cache and of the frontend
+        is what a freshly built system holds."""
+
+        def ints(component):
+            return {
+                name: value for name, value in vars(component).items()
+                if type(value) is int
+            }
+
+        config = SimulationConfig.scaled(
+            "web_search", design, 64, scale=256,
+            system_overrides={"extra_l2_bytes": extra_l2_bytes},
+        )
+        fresh = build_system(config)
+        system = build_system(config)
+        for i, request in enumerate(system.workload.requests(3000)):
+            system.frontend.access(request, i * 10)
+        assert system.cache.accesses > 0
+        assert ints(system.cache) != ints(fresh.cache)
+        system.reset_stats()
+        assert ints(system.cache) == ints(fresh.cache)
+        assert ints(system.frontend) == ints(fresh.frontend)

@@ -117,12 +117,12 @@ class TestUnderprediction:
         evict_page(cache, 0x10000)
         cache.access(read(0x90000, pc=0x400), 100_000)
         before = offchip.bytes_read
-        counter_before = cache.stats.counter("underprediction_misses").value
+        counter_before = cache.underprediction_misses
         result = cache.access(read(0x90000 + 5 * 64, pc=0x408), 100_100)
         assert not result.hit
         assert result.fill_blocks == 1
         assert offchip.bytes_read - before == 64
-        assert cache.stats.counter("underprediction_misses").value == counter_before + 1
+        assert cache.underprediction_misses == counter_before + 1
 
     def test_underpredicted_block_hits_after_fill(self, cache):
         cache.access(read(0x10000, pc=0x400), 0)
@@ -185,7 +185,7 @@ class TestSingletonOptimization:
         assert not result.bypassed
         assert cache.resident_pages > 0
         assert cache.singleton_table.lookup(0x90000) is None
-        assert cache.stats.counter("singleton_corrections").value == 1
+        assert cache.singleton_corrections == 1
 
     def test_singleton_disabled_always_allocates(self, stacked, offchip):
         cache = make_cache(stacked, offchip, singleton=False)

@@ -53,18 +53,20 @@ class TestL2Basics:
 
 class TestL2Writeback:
     def test_dirty_eviction_writes_below(self, l2, dram_cache):
-        l2.access(write(0), 0)
+        # A read allocates block 0; a write hit dirties it.
+        l2.access(read(0), 0)
+        l2.access(write(0), 10)
         # Fill set 0 (stride = 2 sets x 64B): 4 ways + 1 evicts block 0.
         for i in range(1, 5):
             l2.access(read(i * 128), i * 100)
-        assert l2.stats.counter("dirty_writebacks").value == 1
+        assert l2.dirty_writebacks == 1
         # The writeback reached the DRAM cache as an extra access.
         assert dram_cache.accesses == 6
 
     def test_clean_eviction_is_silent(self, l2, dram_cache):
         for i in range(5):
             l2.access(read(i * 128), i * 100)
-        assert l2.stats.counter("dirty_writebacks").value == 0
+        assert l2.dirty_writebacks == 0
         assert dram_cache.accesses == 5
 
     def test_write_hit_marks_dirty(self, l2):
@@ -72,7 +74,15 @@ class TestL2Writeback:
         l2.access(write(0), 10)
         for i in range(1, 5):
             l2.access(read(i * 128), i * 100)
-        assert l2.stats.counter("dirty_writebacks").value == 1
+        assert l2.dirty_writebacks == 1
+
+    def test_write_miss_is_forwarded_not_allocated(self, l2, dram_cache):
+        l2.access(write(0x10000), 0)
+        assert dram_cache.accesses == 1  # the write reached the level below
+        l2.access(read(0x10000), 100)
+        # Nothing was allocated: the read misses in the L2 as well.
+        assert l2.hits == 0
+        assert dram_cache.accesses == 2
 
 
 class TestL2Composition:

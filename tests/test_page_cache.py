@@ -95,15 +95,6 @@ class TestPageCache:
         # Page 0 evicted: exactly two dirty blocks written back.
         assert offchip.bytes_written - before == 128
 
-    def test_eviction_density_recorded(self, cache):
-        cache.access(read(0), 0)
-        cache.access(read(64), 1)
-        stride = 2 * 2048
-        for i in range(1, 9):
-            cache.access(read(i * stride), i * 1000)
-        histogram = cache.stats.histogram("eviction_density")
-        assert histogram.count(2) == 1
-
     def test_write_allocates(self, cache):
         result = cache.access(write(0x20000), 0)
         assert not result.hit

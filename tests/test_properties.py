@@ -101,10 +101,8 @@ def test_footprint_cache_invariants(operations):
 
     # Traffic conservation: every off-chip read was either a fill or a
     # bypassed block; fills are bounded by reads.
-    fills = cache.stats.counter("fill_blocks").value
-    assert offchip.bytes_read == fills * 64
-    writebacks = cache.stats.counter("writeback_blocks").value
-    assert offchip.bytes_written >= writebacks * 64
+    assert offchip.bytes_read == cache.fill_blocks * 64
+    assert offchip.bytes_written >= cache.writeback_blocks * 64
 
 
 @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow], deadline=None)
@@ -139,8 +137,7 @@ def test_page_cache_frame_conservation(operations):
     replay(cache, operations)
     assert cache.resident_pages <= 8
     # All fills are whole pages.
-    fills = cache.stats.counter("fill_blocks").value
-    assert fills % 32 == 0
+    assert cache.fill_blocks % 32 == 0
 
 
 @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow], deadline=None)

@@ -2,7 +2,8 @@
 
 The stdlib ``http.server`` frontend binds an ephemeral port and the
 tests drive it with ``urllib`` — the actual wire protocol, no test
-doubles.
+doubles.  Query validation is checked one layer down, through
+``dispatch``, where a refused request never opens a stream.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 
 import repro.exp.runner as runner_module
 from repro.exp import ExperimentSpec, ResultStore, SweepRunner
-from repro.serve import API_PREFIX
+from repro.serve import API_PREFIX, dispatch
 from repro.sim.simulator import SimulationResult
 
 
@@ -300,6 +301,54 @@ def test_error_statuses(server):
     assert "plugins" in payload["error"]
     status, payload = request(base, "/figures/fig99", method="POST", payload={})
     assert status == 404
+
+
+def test_since_cursor_must_be_a_non_negative_integer(
+    tmp_path, result_payload, serve_stack
+):
+    """A negative cursor would slice the log from its end: a client that
+    follows ``next`` would re-read events, and a stream would skip the
+    first ones.  Both cursors (job events, run results) refuse it."""
+    store = ResultStore(str(tmp_path / "store"))
+    spec = tiny_spec(seeds=(0, 1))
+    for point in spec.points():
+        store.put(point, SimulationResult.from_dict(result_payload))
+    service = serve_stack(store_dir=store.directory)
+    submitted = dispatch(
+        service, "POST", f"{API_PREFIX}/jobs", body=json.dumps(spec.to_dict()).encode()
+    )
+    job_id = submitted.payload["id"]
+    deadline = time.monotonic() + 60
+    while dispatch(service, "GET", f"{API_PREFIX}/jobs/{job_id}").payload[
+        "state"
+    ] != "done":
+        assert time.monotonic() < deadline, "warm job never finished"
+        time.sleep(0.02)
+    events_path = f"{API_PREFIX}/jobs/{job_id}/events"
+
+    for since in ("-2", "x"):
+        for mode in ({"stream": "0"}, {}):  # poll, then stream
+            response = dispatch(
+                service, "GET", events_path, query={"since": since, **mode}
+            )
+            assert response.status == 400, (since, mode)
+            assert response.stream is None
+            assert "'since'" in response.payload["error"]
+
+    page = dispatch(
+        service, "GET", events_path, query={"since": "0", "stream": "0"}
+    ).payload
+    assert page["events"][0]["event"] == "submitted"
+    assert page["events"][-1]["event"] == "done"
+    assert page["next"] == len(page["events"])
+
+    run = dispatch(
+        service, "POST", f"{API_PREFIX}/coordinator/runs",
+        body=json.dumps({"points": [p.to_dict() for p in spec.points()]}).encode(),
+    ).payload["id"]
+    results_path = f"{API_PREFIX}/coordinator/runs/{run}/results"
+    assert dispatch(service, "GET", results_path, query={"since": "-1"}).status == 400
+    assert dispatch(service, "GET", results_path, query={"since": "0"}).status == 200
 
 
 @pytest.mark.parametrize("declared", ["abc", "-5"])

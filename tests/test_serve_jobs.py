@@ -197,6 +197,9 @@ def test_journal_survives_restart_with_restored_entries(
     first = manager_factory(store, journal_path=journal)
     job = first.submit_spec(spec)
     wait_terminal(job)
+    # The worker journals the terminal record just after the job reads
+    # as terminal; joining it guarantees the record is written.
+    first.shutdown()
     history = first.history()
     assert len(history) == 1
     assert history[0]["job"] == job.id
@@ -220,6 +223,7 @@ def test_history_skips_a_torn_line_mid_journal(
     manager = manager_factory(store, journal_path=str(journal))
     job = manager.submit_spec(spec)
     wait_terminal(job)
+    manager.shutdown()  # the terminal record is written before the rewrite
 
     # A writer killed mid-append leaves a torn line; the records after
     # it (the job's start and end) must still count.

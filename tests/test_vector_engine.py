@@ -3,8 +3,8 @@
 ``Simulator.run()`` replays through a NumPy batch kernel where the
 design has one and through the scalar reference loop otherwise; the
 kernel path may not change a single stored byte.  These tests enforce
-it the strong way — full ``SimulationResult.to_dict()`` and
-``StatGroup.as_dict()`` equality plus deep post-run state comparison
+it the strong way — full ``SimulationResult.to_dict()`` equality, every
+``int`` attribute of the cache, plus deep post-run state comparison
 (controller counters and energies, bank row/busy state, tag contents
 *in LRU order*, predictor tables) between ``run()`` and the reference
 loop called directly, for every registered design, across workload
@@ -38,7 +38,12 @@ def small_config(profile="web_search", design="footprint", seed=0, requests=12_0
 def state_snapshot(sim):
     """Every observable post-run state of the simulated system."""
     cache = sim.system.cache
-    snap = {"stats": dict(sorted(cache.stats.as_dict().items()))}
+    snap = {
+        "counters": {
+            name: value for name, value in sorted(vars(cache).items())
+            if type(value) is int
+        }
+    }
     for name in ("stacked", "offchip"):
         controller = getattr(cache, name, None)
         if controller is None:
