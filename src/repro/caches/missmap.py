@@ -32,8 +32,9 @@ class MissMapEntry:
 class MissMap:
     """Set-associative presence filter over 4KB segments.
 
-    Parameters match the paper's Table 4: e.g. 192K entries, 24-way for
-    caches up to 256MB; 288K entries, 36-way for 512MB.
+    Sized by Table 4's entry counts: 192K entries for caches up to 256MB
+    and 288K for 512MB.  The design registry builds both 24-way, so the
+    512MB MissMap has 50% more sets, not more ways.
     """
 
     def __init__(

@@ -323,11 +323,18 @@ def _submit_figure(service, params, query, body) -> Response:
 
 
 def _submit(service, params, query, body) -> Response:
-    """Submit an ExperimentSpec payload (the ``--spec`` JSON format)."""
+    """Submit an ExperimentSpec payload (the ``--spec`` JSON format).
+
+    Every point's key resolves inside the ``try``, as in
+    ``Coordinator.submit``: a spec the simulator cannot build is a 400
+    here, not a job that fails at run time.
+    """
     payload = _json_body(body)
     try:
         spec = spec_from_payload(payload, allow_plugins=service.allow_plugins)
-    except (TypeError, ValueError) as error:
+        for point in spec.points():
+            point.key()
+    except (ArithmeticError, TypeError, ValueError) as error:
         raise ServiceError(400, f"invalid spec: {error}") from None
     return Response(status=202, payload=service.manager.submit_spec(spec).snapshot())
 

@@ -9,24 +9,26 @@ simulator's per-core time recurrence — writing directly through to the
 real simulation state (banks, recency-ordered set dicts, tag entries,
 block bit vectors, frame free-lists, predictor tables, per-core clocks).
 
-Unlike a classic fast-path/slow-path split, the footprint and page
-kernels inline *every* outcome — hit, underprediction, page miss with
-eviction, singleton bypass — so no per-request objects are built and no
-virtual dispatch happens anywhere on the replay path.  The inlined
-bodies are transcriptions of ``FootprintCache.access``,
-``PageBasedCache.access`` and ``MemoryController.access``; tests pin
-bit-exact equivalence per design x workload x seed.
+Unlike a classic fast-path/slow-path split, the kernels inline *every*
+outcome — hit, underprediction, page miss with eviction, singleton
+bypass, MissMap forced eviction — so no per-request objects are built
+and no virtual dispatch happens anywhere on the replay path.  The
+inlined bodies are transcriptions of ``FootprintCache.access``,
+``PageBasedCache.access``, ``BlockBasedCache.access`` with its
+``MissMap``, ``BaselineMemory.access``, ``IdealCache.access`` and
+``MemoryController.access``; tests pin bit-exact equivalence per
+design x workload x seed.
 
 Mirroring rules that make the parity hold to the last bit:
 
 * Int counters (access/hit/byte/cycle counts) accumulate in locals and
   flush at segment end into the same ``int`` attributes the reference
-  bumps (the cache's counters, the controllers', the FHT's) — integer
-  addition is exact and the scalar path touches no other accumulators
-  meanwhile (the kernel IS the only writer during a segment).  Counts
-  that are linear in other counts (controller access totals,
-  block-sized byte totals) are derived at flush time instead of
-  incremented per event.
+  bumps (the cache's counters, the controllers', the FHT's, the
+  MissMap's) — integer addition is exact and the scalar path touches no
+  other accumulators meanwhile (the kernel IS the only writer during a
+  segment).  Counts that are linear in other counts (controller access
+  totals, block-sized byte totals, close-page busy cycles) are derived
+  at flush time instead of incremented per event.
 * Energy floats accumulate in locals seeded from the controller's
   current values and store back at segment end.  Because the kernel
   adds the same addends in the same stream order as the reference, the
@@ -40,16 +42,28 @@ Mirroring rules that make the parity hold to the last bit:
   (bank, row); the kernels then precompute one bank/row pair per frame
   and replace the five-operation address decomposition with two list
   lookups.  Odd geometries keep the verbatim arithmetic.
+* A close-page controller (the block design's two) leaves every bank
+  precharged, so each access is a closed-row access: one activate and
+  one precharge, never a row hit, and the row is never compared.  The
+  device cycles are the closed-row entries of the same per-size table,
+  write recovery included.
 * Each set of a ``SetAssociativeCache`` is one dict whose order is its
   recency, so an LRU touch is a delete/re-insert, the victim is the
   first key, and the kernels update exactly the dicts the scalar path
-  does.  A touch of the most-recently-used key is a no-op, so the
-  kernels track the MRU key per tag set and skip the delete/re-insert
-  pair for repeated touches — the dominant pattern in paged streams.
+  does — tag sets, the FHT, the Singleton Table and the MissMap alike.
+  A touch of the most-recently-used key is a no-op, so the kernels
+  track the MRU key per tag set and skip the delete/re-insert pair for
+  repeated touches — the dominant pattern in paged streams.
+* The MissMap keeps its reference order: a presence check does not
+  touch the segment's entry; the tag victim leaves the MissMap (freeing
+  a way when its segment empties) before the filled block is marked
+  present; and the blocks of an evicted entry are forced out of the
+  tags in ascending offset order.
 
 ``build_kernel`` returns None when any assumption fails (custom
-subclasses, close-page controllers, an L2 frontend); ``engine.replay``
-then routes the whole run to the scalar reference loop.
+subclasses, a row-buffer policy the kernel does not model, an L2
+frontend); ``engine.replay`` then routes the whole run to the scalar
+reference loop.
 """
 
 from __future__ import annotations
@@ -57,6 +71,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.caches.base import BaselineMemory
+from repro.caches.block_cache import BlockBasedCache, _BlockLine
+from repro.caches.ideal_cache import IdealCache
+from repro.caches.missmap import MissMap, MissMapEntry
 from repro.caches.page_cache import PageBasedCache, PageLine
 from repro.core.block_state import PageBlockBits
 from repro.core.footprint_cache import FootprintCache, PageEntry
@@ -69,8 +86,13 @@ _FHT_HASH_OFFSET = 0x85EBCA77
 
 
 def _plain_open_page(controller) -> bool:
-    """True when the inlined controller model applies exactly."""
+    """True when the inlined open-page controller model applies exactly."""
     return type(controller) is MemoryController and not controller._close_page
+
+
+def _plain_close_page(controller) -> bool:
+    """True when the inlined close-page controller model applies exactly."""
+    return type(controller) is MemoryController and controller._close_page
 
 
 def _cycles(controller, num_bytes: int, code: int, is_write: bool) -> int:
@@ -141,48 +163,60 @@ class _Dram:
         return bank, c2 // self.banks_per_channel // self.chunks_per_row
 
 
-class _BaselineKernel:
-    """Every request goes off-chip: one inlined controller op each."""
+class _OneAccessKernel:
+    """One block access per request to one open-page controller.
+
+    Baseline sends every request off-chip (a fill block per read); ideal
+    serves every request from stacked DRAM (a hit per request).
+    """
 
     @classmethod
     def build(cls, sim):
         system = sim.system
         cache = system.cache
-        if type(cache) is not BaselineMemory or system.frontend is not cache:
+        if system.frontend is not cache:
             return None
-        if not _plain_open_page(cache.offchip):
+        if type(cache) is BaselineMemory:
+            controller = cache.offchip
+        elif type(cache) is IdealCache:
+            controller = cache.stacked
+        else:
             return None
-        return cls(sim)
+        if not _plain_open_page(controller):
+            return None
+        return cls(sim, controller)
 
-    def __init__(self, sim) -> None:
+    def __init__(self, sim, controller) -> None:
         cache = sim.system.cache
         self.cache = cache
         self.perf = sim.perf
         self.block_size = cache.block_size
         self.block_mask = np.int64(cache._block_mask)
-        self.offchip = _Dram(cache.offchip, cache.block_size)
+        self.dram = _Dram(controller, cache.block_size)
+        self.always_hits = type(cache) is IdealCache
 
     def run_segment(self, cols) -> int:
         m = len(cols)
         if m == 0:
             return 0
-        od = self.offchip
-        controller = od.controller
-        chunk = (cols.addresses & self.block_mask) // od.interleave
-        c2 = chunk // od.channels
-        flat_l = (chunk % od.channels * od.banks_per_channel + c2 % od.banks_per_channel).tolist()
-        rows_l = (c2 // od.banks_per_channel // od.chunks_per_row).tolist()
+        dram = self.dram
+        controller = dram.controller
+        bpc = dram.banks_per_channel
+        chunk = (cols.addresses & self.block_mask) // dram.interleave
+        c2 = chunk // dram.channels
+        flat_l = (chunk % dram.channels * bpc + c2 % bpc).tolist()
+        rows_l = (c2 // bpc // dram.chunks_per_row).tolist()
         writes_l = cols.writes.tolist()
         perf = self.perf
         cores_l = (cols.core_ids % perf.num_cores).tolist()
         icb_l = (cols.instruction_counts * perf.base_cpi).tolist()
         exposed = perf.exposed_latency_fraction
         ct = perf._core_time
-        banks = od.banks
-        table = od.table
-        act_nj = od.act_nj
-        rd_nj = od.read_nj
-        wr_nj = od.write_nj
+        banks = dram.banks
+        table = dram.table
+        act_nj = dram.act_nj
+        rd_nj = dram.read_nj
+        wr_nj = dram.write_nj
         energy = controller.energy
         e_act = energy.activate_precharge_nj
         e_rd = energy.read_nj
@@ -233,7 +267,10 @@ class _BaselineKernel:
         controller.bytes_read += reads_seen * bs
         cache = self.cache
         cache.accesses += m
-        cache.fill_blocks += reads_seen
+        if self.always_hits:
+            cache.hits += m
+        else:
+            cache.fill_blocks += reads_seen
         return int(cols.instruction_counts.sum())
 
 
@@ -1091,7 +1128,269 @@ class _FootprintKernel(_StackedKernelBase):
         return int(cols.instruction_counts.sum())
 
 
-_KERNELS = (_FootprintKernel, _PageKernel, _BaselineKernel)
+class _BlockKernel:
+    """Block cache behind its MissMap: hit, miss, fill and every eviction inline.
+
+    Both controllers are close-page, so every access finds its bank
+    precharged: one activate and one precharge, never a row hit, and the
+    row never matters.  A set's tags and data share one stacked row, so
+    each set's stacked bank is looked up in a table built once.  The
+    MissMap marks exactly the blocks the tags hold, so a missed block is
+    never resident, a tag victim's bit is always set, and every block of
+    an evicted MissMap entry is resident.
+    """
+
+    @classmethod
+    def build(cls, sim):
+        system = sim.system
+        cache = system.cache
+        if type(cache) is not BlockBasedCache or system.frontend is not cache:
+            return None
+        if not _plain_close_page(cache.stacked) or not _plain_close_page(cache.offchip):
+            return None
+        if type(cache.missmap) is not MissMap:
+            return None
+        return cls(sim)
+
+    def __init__(self, sim) -> None:
+        cache = sim.system.cache
+        self.cache = cache
+        self.perf = sim.perf
+        self.block_size = cache.block_size
+        self.block_mask = np.int64(cache._block_mask)
+        self.block_shift = cache.block_size.bit_length() - 1
+        tags = cache._tags
+        self.num_sets = tags.num_sets
+        self.associativity = tags.associativity
+        self.tag_dicts = tags._entries
+        self.stacked = _Dram(cache.stacked, cache.block_size)
+        self.offchip = _Dram(cache.offchip, cache.block_size)
+        # Stacked bank of each set's row (``BlockBasedCache._row_address``).
+        sd = self.stacked
+        chunk = np.arange(self.num_sets, dtype=np.int64) * cache.row_bytes // sd.interleave
+        bpc = sd.banks_per_channel
+        flat = chunk % sd.channels * bpc + chunk // sd.channels % bpc
+        self.set_banks = [sd.banks[i] for i in flat.tolist()]
+        # Most-recently-used block per tag set, as in the page kernels.
+        self.mru = [None] * self.num_sets
+
+    def run_segment(self, cols) -> int:
+        m = len(cols)
+        if m == 0:
+            return 0
+        bshift = self.block_shift
+        num_sets = self.num_sets
+        od = self.offchip
+        o_il, o_ch, o_bpc = od.interleave, od.channels, od.banks_per_channel
+        blocks = cols.addresses & self.block_mask
+        blocks_l = blocks.tolist()
+        sets_l = ((blocks >> bshift) % num_sets).tolist()
+        chunk = blocks // o_il
+        obanks_l = (chunk % o_ch * o_bpc + chunk // o_ch % o_bpc).tolist()
+        writes_l = cols.writes.tolist()
+        perf = self.perf
+        cores_l = (cols.core_ids % perf.num_cores).tolist()
+        icb_l = (cols.instruction_counts * perf.base_cpi).tolist()
+
+        cache = self.cache
+        exposed = perf.exposed_latency_fraction
+        ct = perf._core_time
+        assoc = self.associativity
+        tag_dicts = self.tag_dicts
+        mru = self.mru
+        set_banks = self.set_banks
+        missmap = cache.missmap
+        mm_dicts = missmap._table._entries
+        mm_sets = missmap._table.num_sets
+        mm_assoc = missmap._table.associativity
+        seg_mask = missmap._segment_mask
+        off_mask = missmap._offset_mask
+        mm_shift = missmap._block_shift
+        seg_bytes = missmap.segment_bytes
+        mm_bs = missmap.block_size
+        mm_lat = missmap.latency_cycles
+        tag_penalty = cache._tag_read_penalty
+
+        sd = self.stacked
+        o_banks = od.banks
+        s_rd_dc, s_wr_dc = sd.table[1], sd.table[4]
+        o_rd_dc, o_wr_dc = od.table[1], od.table[4]
+        s_ctrl, o_ctrl = sd.controller, od.controller
+        s_energy, o_energy = s_ctrl.energy, o_ctrl.energy
+        se_act, se_rd, se_wr = s_energy.activate_precharge_nj, s_energy.read_nj, s_energy.write_nj
+        oe_act, oe_rd, oe_wr = o_energy.activate_precharge_nj, o_energy.read_nj, o_energy.write_nj
+        s_act_nj, s_rd_nj, s_wr_nj = sd.act_nj, sd.read_nj, sd.write_nj
+        o_act_nj, o_rd_nj, o_wr_nj = od.act_nj, od.read_nj, od.write_nj
+
+        n_hr = n_hw = n_miss = n_wb = n_lost = n_mm_evict = 0
+
+        for k in range(m):
+            block = blocks_l[k]
+            w = writes_l[k]
+            c = cores_l[k]
+            t = ct[c]
+            now = int(t)
+            nowl = now + mm_lat
+            sid = sets_l[k]
+            td = tag_dicts[sid]
+            segment = block & seg_mask
+            bit = 1 << ((block & off_mask) >> mm_shift)
+            md = mm_dicts[segment // seg_bytes % mm_sets]
+            mentry = md.get(segment)
+            if mentry is not None and mentry.present_mask & bit:
+                # ---- hit: tag and data access in the set's stacked row --
+                line = td.get(block)
+                if line is None:
+                    raise RuntimeError(
+                        "MissMap claims presence for a block the tag store lost; "
+                        "mark_absent was skipped somewhere"
+                    )
+                if mru[sid] != block:
+                    del td[block]
+                    td[block] = line
+                    mru[sid] = block
+                bank = set_banks[sid]
+                bank.activate_count += 1
+                bank.precharge_count += 1
+                se_act += s_act_nj
+                dc = s_wr_dc if w else s_rd_dc
+                bz = bank.busy_until
+                start = bz if bz > nowl else nowl
+                finish = start + dc
+                bank.busy_until = finish
+                latency = mm_lat + (finish - nowl) + tag_penalty
+                if w:
+                    line.dirty = True
+                    se_wr += s_wr_nj
+                    n_hw += 1
+                else:
+                    se_rd += s_rd_nj
+                    n_hr += 1
+                ct[c] = t + (icb_l[k] + latency * exposed)
+                continue
+
+            # ---- miss: off-chip demand read ------------------------------
+            n_miss += 1
+            bank = o_banks[obanks_l[k]]
+            bank.activate_count += 1
+            bank.precharge_count += 1
+            oe_act += o_act_nj
+            bz = bank.busy_until
+            start = bz if bz > nowl else nowl
+            finish = start + o_rd_dc
+            bank.busy_until = finish
+            oe_rd += o_rd_nj
+            latency = mm_lat + (finish - nowl)
+            # Fill, evictions and write-backs all start when the data is back.
+            nowf = now + latency
+            sbank = set_banks[sid]
+            if len(td) >= assoc:
+                # LRU victim: leaves the MissMap, dirty data goes off-chip.
+                vblock = next(iter(td))
+                vline = td.pop(vblock)
+                vseg = vblock & seg_mask
+                vmd = mm_dicts[vseg // seg_bytes % mm_sets]
+                ventry = vmd[vseg]
+                vmask = ventry.present_mask & ~(1 << ((vblock & off_mask) >> mm_shift))
+                ventry.present_mask = vmask
+                if vmask == 0:
+                    del vmd[vseg]
+                if vline.dirty:
+                    n_wb += 1
+                    # stacked read from the same set's row
+                    sbank.activate_count += 1
+                    sbank.precharge_count += 1
+                    se_act += s_act_nj
+                    bz = sbank.busy_until
+                    sbank.busy_until = (bz if bz > nowf else nowf) + s_rd_dc
+                    se_rd += s_rd_nj
+                    # off-chip write-back
+                    vchunk = vblock // o_il
+                    bank = o_banks[vchunk % o_ch * o_bpc + vchunk // o_ch % o_bpc]
+                    bank.activate_count += 1
+                    bank.precharge_count += 1
+                    oe_act += o_act_nj
+                    bz = bank.busy_until
+                    bank.busy_until = (bz if bz > nowf else nowf) + o_wr_dc
+                    oe_wr += o_wr_nj
+            td[block] = _BlockLine(dirty=w == 1)
+            mru[sid] = block
+            # stacked fill write
+            sbank.activate_count += 1
+            sbank.precharge_count += 1
+            se_act += s_act_nj
+            bz = sbank.busy_until
+            sbank.busy_until = (bz if bz > nowf else nowf) + s_wr_dc
+            se_wr += s_wr_nj
+            # MissMap mark_present: touch, or insert with an LRU eviction
+            # whose resident blocks are all forced out of the tags.
+            mentry = md.get(segment)
+            if mentry is not None:
+                del md[segment]
+                md[segment] = mentry
+                mentry.present_mask |= bit
+            elif len(md) < mm_assoc:
+                md[segment] = MissMapEntry(present_mask=bit)
+            else:
+                lseg = next(iter(md))
+                lmask = md.pop(lseg).present_mask
+                md[segment] = MissMapEntry(present_mask=bit)
+                n_mm_evict += 1
+                n_lost += lmask.bit_count()
+                while lmask:
+                    low = lmask & -lmask
+                    lmask ^= low
+                    lost = lseg + (low.bit_length() - 1) * mm_bs
+                    lsid = (lost >> bshift) % num_sets
+                    if not tag_dicts[lsid].pop(lost).dirty:
+                        continue
+                    n_wb += 1
+                    # stacked read from the lost block's own row
+                    bank = set_banks[lsid]
+                    bank.activate_count += 1
+                    bank.precharge_count += 1
+                    se_act += s_act_nj
+                    bz = bank.busy_until
+                    bank.busy_until = (bz if bz > nowf else nowf) + s_rd_dc
+                    se_rd += s_rd_nj
+                    # off-chip write-back
+                    lchunk = lost // o_il
+                    bank = o_banks[lchunk % o_ch * o_bpc + lchunk // o_ch % o_bpc]
+                    bank.activate_count += 1
+                    bank.precharge_count += 1
+                    oe_act += o_act_nj
+                    bz = bank.busy_until
+                    bank.busy_until = (bz if bz > nowf else nowf) + o_wr_dc
+                    oe_wr += o_wr_nj
+            ct[c] = t + (icb_l[k] + latency * exposed)
+
+        s_energy.activate_precharge_nj = se_act
+        s_energy.read_nj = se_rd
+        s_energy.write_nj = se_wr
+        o_energy.activate_precharge_nj = oe_act
+        o_energy.read_nj = oe_rd
+        o_energy.write_nj = oe_wr
+        bs = self.block_size
+        s_reads = n_hr + n_wb
+        s_writes = n_hw + n_miss
+        s_ctrl.access_count += s_reads + s_writes
+        s_ctrl.busy_cpu_cycles += s_reads * s_rd_dc + s_writes * s_wr_dc
+        s_ctrl.bytes_read += s_reads * bs
+        s_ctrl.bytes_written += s_writes * bs
+        o_ctrl.access_count += n_miss + n_wb
+        o_ctrl.busy_cpu_cycles += n_miss * o_rd_dc + n_wb * o_wr_dc
+        o_ctrl.bytes_read += n_miss * bs
+        o_ctrl.bytes_written += n_wb * bs
+        cache.accesses += m
+        cache.hits += n_hr + n_hw
+        cache.fill_blocks += n_miss
+        cache.writeback_blocks += n_wb
+        cache.missmap_forced_evictions += n_lost
+        missmap.forced_eviction_count += n_mm_evict
+        return int(cols.instruction_counts.sum())
+
+
+_KERNELS = (_FootprintKernel, _PageKernel, _BlockKernel, _OneAccessKernel)
 
 
 def build_kernel(sim):

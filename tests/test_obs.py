@@ -347,7 +347,7 @@ class TestCli:
         trace_path = str(tmp_path / "cli.ndjson")
         assert main([
             "sweep", "--workloads", "web_search",
-            "--designs", "page,footprint,block",
+            "--designs", "page,footprint,subblock",
             "--capacities", "64", "--requests", "2000",
             "--store", str(tmp_path / "store"), "--trace", trace_path,
         ]) == 0
@@ -363,7 +363,7 @@ class TestCli:
             r["attrs"]["design"]: r["attrs"]["kernel"]
             for r in records if r["name"] == "point.simulate"
         }
-        assert kernel == {"page": True, "footprint": True, "block": False}
+        assert kernel == {"page": True, "footprint": True, "subblock": False}
         capsys.readouterr()
 
         assert main(["obs", "summarize", trace_path]) == 0

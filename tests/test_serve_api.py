@@ -351,6 +351,31 @@ def test_since_cursor_must_be_a_non_negative_integer(
     assert dispatch(service, "GET", results_path, query={"since": "0"}).status == 200
 
 
+def test_spec_submit_resolves_every_point_at_the_door(serve_stack):
+    """A spec whose points cannot be built is a 400 that creates no job.
+
+    Each body once escaped ``dispatch`` as an exception (a dropped
+    connection) or was accepted and failed at run time.
+    """
+    service = serve_stack()
+    jobs_path = f"{API_PREFIX}/jobs"
+    base = {"workloads": ["web_search"], "designs": ["page"]}
+    for bad in (
+        {"capacities_mb": [-1]},
+        {"seeds": [1e400]},
+        {"num_requests": [-5]},
+        {"num_requests": -5},
+        {"num_requests": "x"},
+    ):
+        body = json.dumps({**base, **bad}).encode()
+        response = dispatch(service, "POST", jobs_path, body=body)
+        assert response.status == 400, bad
+        assert response.payload["error"].startswith("invalid spec: "), bad
+    assert dispatch(service, "GET", jobs_path).payload["jobs"] == []
+    valid = json.dumps(tiny_spec().to_dict()).encode()
+    assert dispatch(service, "POST", jobs_path, body=valid).status == 202
+
+
 @pytest.mark.parametrize("declared", ["abc", "-5"])
 def test_malformed_content_length_gets_400_and_close(http_stack, declared):
     """A Content-Length that is not a size is a 400 that ends the connection.

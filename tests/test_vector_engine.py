@@ -71,6 +71,15 @@ def state_snapshot(sim):
             [(key, repr(value)) for key, value in entries.items()]
             for entries in sram._entries
         ]
+    missmap = getattr(cache, "missmap", None)
+    if missmap is not None:
+        snap["missmap"] = (
+            missmap.forced_eviction_count,
+            [
+                [(segment, entry.present_mask) for segment, entry in entries.items()]
+                for entries in missmap._table._entries
+            ],
+        )
     fht = getattr(cache, "fht", None)
     if fht is not None:
         snap["fht"] = (
@@ -131,11 +140,24 @@ class TestEquivalenceEveryDesign:
     def test_randomized_seeds_footprint(self, seed):
         assert_parity(small_config(design="footprint", seed=seed))
 
-    @pytest.mark.parametrize("design", ("page", "baseline"))
+    @pytest.mark.parametrize("design", ("page", "baseline", "ideal", "block"))
     def test_randomized_seeds_other_kernels(self, design):
         assert_parity(small_config(design=design, seed=3))
 
-    @pytest.mark.parametrize("design", ("footprint", "page", "baseline"))
+    def test_block_forced_evictions_parity(self):
+        # At 512 MB the MissMap evicts entries whose resident blocks,
+        # dirty ones included, are forced out of the tags.
+        config = ExperimentPoint(
+            workload="mapreduce", design="block", capacity_mb=512, num_requests=12_000
+        ).config()
+        (reference_result, reference_state), (result, state) = run_both(config)
+        assert result == reference_result
+        assert state == reference_state
+        assert state["counters"]["missmap_forced_evictions"] > 0
+        assert state["missmap"][0] > 0  # MissMap entries evicted
+        assert result["writeback_blocks"] > 0
+
+    @pytest.mark.parametrize("design", ("footprint", "page", "baseline", "ideal", "block"))
     @pytest.mark.parametrize("workload", ("web_search", "data_serving"))
     def test_sweep_point_parity(self, workload, design):
         # The points of a 64 MB, 6,000-request sweep over the designs
@@ -149,8 +171,8 @@ class TestEquivalenceEveryDesign:
 class TestDispatch:
     """Which path replays a default configuration is pinned per design."""
 
-    KERNEL_DESIGNS = ("footprint", "page", "baseline")
-    REFERENCE_DESIGNS = ("ideal", "block", "subblock", "chop")
+    KERNEL_DESIGNS = ("footprint", "page", "baseline", "ideal", "block")
+    REFERENCE_DESIGNS = ("subblock", "chop")
 
     @pytest.mark.parametrize("design", KERNEL_DESIGNS + REFERENCE_DESIGNS)
     def test_default_configuration_dispatch(self, design):
@@ -260,13 +282,13 @@ class TestConcurrentReplay:
         }
 
     def test_threads_replay_one_stream(self, monkeypatch):
-        # Kernels read the stream in segments; block's reference loop
+        # Kernels read the stream in segments; subblock's reference loop
         # reads it through the lazy request-object view.
         shared_trace_cache().clear()
         monkeypatch.setattr(vector_engine, "SEGMENT_REQUESTS", 512)
         configs = [
             small_config(design=design, seed=13, requests=n)
-            for design in ("footprint", "block")
+            for design in ("footprint", "subblock")
             for n in (4_000, 8_000)
         ]
         results, errors = {}, []
