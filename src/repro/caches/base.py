@@ -102,18 +102,26 @@ class DramCache(abc.ABC):
         """1 - miss ratio."""
         return 1.0 - self.miss_ratio
 
+    def _burst_tail(self, total_bytes: int) -> int:
+        """CPU cycles an off-chip fetch of ``total_bytes`` bursts after its first block.
+
+        The tail is bounded by what the controller actually bursts on one
+        bank (one interleave stripe).  The batch kernels memoise it per
+        fetch size.
+        """
+        timing = self.offchip.timing
+        stripe = min(total_bytes, self.offchip.mapping.interleave_bytes)
+        tail_bus_cycles = timing.burst_cycles(stripe) - timing.burst_cycles(self.block_size)
+        return timing.to_cpu_cycles(max(0, tail_bus_cycles))
+
     def _critical_fetch_latency(self, fetch, total_bytes: int) -> int:
         """Latency until the *demand block* of a multi-block fetch returns.
 
         Page-organised designs fetch several blocks in one burst but
         forward the demanded block critical-block-first; the burst tail is
-        off the critical path.  The tail is bounded by what the controller
-        actually bursts on one bank (one interleave stripe).
+        off the critical path.
         """
-        timing = self.offchip.timing
-        stripe = min(total_bytes, self.offchip.mapping.interleave_bytes)
-        tail_bus_cycles = timing.burst_cycles(stripe) - timing.burst_cycles(self.block_size)
-        return fetch.latency - timing.to_cpu_cycles(max(0, tail_bus_cycles))
+        return fetch.latency - self._burst_tail(total_bytes)
 
     def _record(self, result: CacheAccessResult) -> CacheAccessResult:
         """Fold one access result into the five shared counters."""

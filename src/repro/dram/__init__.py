@@ -7,8 +7,8 @@ channels reached over TSVs.
 """
 
 from repro.dram.address_mapping import AddressMapping
-from repro.dram.bank import Bank, RowBufferPolicy
-from repro.dram.controller import AccessOutcome, DramAccessResult, MemoryController
+from repro.dram.bank import Bank, RowBufferPolicy, RowOutcome
+from repro.dram.controller import DramAccessResult, MemoryController
 from repro.dram.energy import DramEnergyCounters, DramEnergyModel
 from repro.dram.timing import DramTiming, OFF_CHIP_DDR3_1600, STACKED_DDR3_3200
 
@@ -16,7 +16,7 @@ __all__ = [
     "AddressMapping",
     "Bank",
     "RowBufferPolicy",
-    "AccessOutcome",
+    "RowOutcome",
     "DramAccessResult",
     "MemoryController",
     "DramEnergyCounters",

@@ -53,15 +53,19 @@ class AddressMapping:
         chunk = address // self.interleave_bytes // self.channels
         return chunk % self.banks_per_channel
 
+    @property
+    def chunks_per_row(self) -> int:
+        """Interleave chunks a bank groups into one row."""
+        return max(1, self.row_bytes // self.interleave_bytes)
+
     def row_of(self, address: int) -> int:
         """Row index (within its bank) for ``address``.
 
         Consecutive chunks that a bank receives are grouped into rows of
-        ``row_bytes / interleave_bytes`` chunks.
+        :attr:`chunks_per_row` chunks.
         """
         chunk = address // self.interleave_bytes // self.channels
-        chunks_per_row = max(1, self.row_bytes // self.interleave_bytes)
-        return chunk // self.banks_per_channel // chunks_per_row
+        return chunk // self.banks_per_channel // self.chunks_per_row
 
     def locate(self, address: int) -> Tuple[int, int, int]:
         """(channel, bank, row) triple for ``address``."""

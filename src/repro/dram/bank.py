@@ -22,11 +22,16 @@ class RowBufferPolicy(enum.Enum):
 
 
 class RowOutcome(enum.Enum):
-    """How an access met the bank's row buffer."""
+    """How an access met the bank's row buffer.
 
-    HIT = "hit"
-    CLOSED = "closed"
-    CONFLICT = "conflict"
+    The value is the row code that
+    :meth:`repro.dram.controller.MemoryController.device_cycles` and the
+    batch kernels key device cycles on.
+    """
+
+    HIT = 0
+    CLOSED = 1
+    CONFLICT = 2
 
 
 @dataclass(slots=True)
@@ -47,10 +52,11 @@ class Bank:
     command-level replay.
 
     ``__slots__`` because a controller holds channels x banks instances
-    and the hot path reads/writes their fields constantly.  The
-    controller's access loop inlines this state machine
-    (:meth:`repro.dram.controller.MemoryController.access`); this class
-    remains the reference implementation and the unit-test surface.
+    and the hot path reads/writes their fields constantly.
+    :meth:`repro.dram.controller.MemoryController.access` calls
+    :meth:`access` and :meth:`reserve`; the batch kernels
+    (:mod:`repro.vector.kernels`) transcribe both and write the same
+    fields.
     """
 
     __slots__ = ("policy", "_open_row", "busy_until", "activate_count", "precharge_count")

@@ -12,31 +12,13 @@ parallelism/availability, and transfer size.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import List
 
 from repro.dram.address_mapping import AddressMapping
-from repro.dram.bank import Bank, RowBufferPolicy
+from repro.dram.bank import Bank, RowBufferPolicy, RowOutcome
 from repro.dram.energy import DramEnergyCounters, DramEnergyModel
 from repro.dram.timing import DramTiming
-
-
-class AccessOutcome(enum.Enum):
-    """Row-buffer outcome of a DRAM access, for locality statistics."""
-
-    ROW_HIT = "row_hit"
-    ROW_CLOSED = "row_closed"
-    ROW_CONFLICT = "row_conflict"
-
-
-# Row-outcome codes used by the inlined bank state machine in access():
-# 0 = HIT, 1 = CLOSED, 2 = CONFLICT (mirrors RowOutcome's classification).
-_OUTCOME_CODES = (
-    AccessOutcome.ROW_HIT,
-    AccessOutcome.ROW_CLOSED,
-    AccessOutcome.ROW_CONFLICT,
-)
 
 
 @dataclass(slots=True)
@@ -47,7 +29,7 @@ class DramAccessResult:
     ``__slots__`` dataclass; treat instances as immutable records.
     """
 
-    outcome: AccessOutcome
+    outcome: RowOutcome
     start_cycle: int
     finish_cycle: int
     latency: int
@@ -96,35 +78,38 @@ class MemoryController:
         ]
         self.access_count = 0
         self.row_hit_count = 0
-        self.busy_cpu_cycles = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        # --- hot-path constants, computed once instead of per access ---
-        # Address decomposition (mirrors AddressMapping.locate exactly).
-        self._interleave_bytes = mapping.interleave_bytes
-        self._channels = mapping.channels
-        self._banks_per_channel = mapping.banks_per_channel
-        self._chunks_per_row = max(1, mapping.row_bytes // mapping.interleave_bytes)
-        # Row-operation bus cycles per outcome, write-recovery policy.
-        self._close_page = policy is RowBufferPolicy.CLOSE_PAGE
-        self._row_cycles = (
-            timing.row_hit_bus_cycles,       # RowOutcome HIT  -> code 0
-            timing.row_closed_bus_cycles,    # RowOutcome CLOSED -> code 1
-            timing.row_conflict_bus_cycles,  # RowOutcome CONFLICT -> code 2
-        )
-        self._write_recovery = timing.t_wr if self._close_page else 0
-        # (num_bytes, outcome_code, is_write) -> device CPU cycles.  The
-        # distinct transfer sizes per run are few (block, footprint
-        # multiples, page), so this memo removes the burst/row/convert
-        # arithmetic from the per-access path without changing one cycle.
+        # (num_bytes, row code, is_write) -> device CPU cycles; the batch
+        # kernels look up this dict directly (see device_cycles).
         self._device_cycles: dict = {}
-        # Per-event energy constants (same factors record_read/record_write
-        # multiply by; the division by 64.0 is exact, so inlining keeps the
-        # accumulated floats bit-identical).
-        model = self.energy.model
-        self._activate_nj = model.activate_precharge_nj
-        self._read_nj_per_64b = model.read_burst_nj_per_64b
-        self._write_nj_per_64b = model.write_burst_nj_per_64b
+
+    def device_cycles(self, num_bytes: int, code: int, is_write: bool) -> int:
+        """CPU cycles a bank is busy serving one access (memoised).
+
+        The row operation (``code`` is the :class:`RowOutcome` value: 0
+        hit, 1 closed, 2 conflict), then the burst of one interleave
+        stripe, plus write recovery on a close-page write.  The distinct
+        transfer sizes per run are few (block, footprint multiples,
+        page), so the memo holds a handful of entries.
+        """
+        key = (num_bytes, code, is_write)
+        cycles = self._device_cycles.get(key)
+        if cycles is None:
+            timing = self.timing
+            row_bus_cycles = (
+                timing.row_hit_bus_cycles,
+                timing.row_closed_bus_cycles,
+                timing.row_conflict_bus_cycles,
+            )[code]
+            if is_write and self.policy is RowBufferPolicy.CLOSE_PAGE:
+                row_bus_cycles += timing.t_wr
+            stripe_bytes = min(num_bytes, self.mapping.interleave_bytes)
+            cycles = timing.to_cpu_cycles(
+                row_bus_cycles + timing.burst_cycles(stripe_bytes), self.cpu_mhz
+            )
+            self._device_cycles[key] = cycles
+        return cycles
 
     def access(self, address: int, num_bytes: int, is_write: bool, now: int = 0) -> DramAccessResult:
         """Perform one access of ``num_bytes`` starting at CPU cycle ``now``.
@@ -135,88 +120,35 @@ class MemoryController:
         latency of the critical path (the widest stripe on one bank) and
         charge energy for all of it.
 
-        The body is the de-virtualised equivalent of address
-        ``mapping.locate`` + ``bank.access`` + timing/energy accounting:
-        same arithmetic in the same order, with the per-access lookups and
-        intermediate objects hoisted into construction-time constants (see
-        ``__init__``).  ``Bank.access`` remains the reference state
-        machine; ``tests/test_controller.py`` pins the equivalence.
+        The access is ``mapping.locate``, ``Bank.access``, ``Bank.reserve``
+        for :meth:`device_cycles` and the energy counters' ``record_*``;
+        the batch kernels (:mod:`repro.vector.kernels`) transcribe it.
         """
         if num_bytes <= 0:
             raise ValueError("num_bytes must be positive")
         if now < 0:
             raise ValueError("now must be non-negative")
-        if address < 0:
-            raise ValueError("address must be non-negative")
+        channel, bank_index, row = self.mapping.locate(address)
+        bank = self._banks[channel][bank_index]
+        row_access = bank.access(row)
+        outcome = row_access.outcome
+        cycles = self.device_cycles(num_bytes, outcome.value, is_write)
+        start = bank.reserve(now, cycles)
+        finish = start + cycles
 
-        # Address decomposition (== mapping.locate(address)).
-        chunk = address // self._interleave_bytes
-        channel = chunk % self._channels
-        chunk //= self._channels
-        bank = self._banks[channel][chunk % self._banks_per_channel]
-        row = chunk // self._banks_per_channel // self._chunks_per_row
-
-        # Bank row-buffer state machine (== bank.access(row)).
-        open_row = bank._open_row
-        if open_row is None:
-            outcome_code = 1  # CLOSED
-            activates = 1
-            precharges = 0
-        elif open_row == row:
-            outcome_code = 0  # HIT
-            activates = 0
-            precharges = 0
-        else:
-            outcome_code = 2  # CONFLICT
-            activates = 1
-            precharges = 1
-        if self._close_page:
-            bank._open_row = None
-            if outcome_code != 2:
-                precharges += 1
-        else:
-            bank._open_row = row
-        bank.activate_count += activates
-        bank.precharge_count += precharges
-
-        # Device cycles (== to_cpu_cycles(row op + burst [+ t_wr])).
-        cycles_key = (num_bytes, outcome_code, is_write)
-        device_cycles = self._device_cycles.get(cycles_key)
-        if device_cycles is None:
-            row_bus_cycles = self._row_cycles[outcome_code]
-            stripe_bytes = min(num_bytes, self._interleave_bytes)
-            burst_bus_cycles = self.timing.burst_cycles(stripe_bytes)
-            if is_write:
-                row_bus_cycles += self._write_recovery
-            device_cycles = self.timing.to_cpu_cycles(
-                row_bus_cycles + burst_bus_cycles, self.cpu_mhz
-            )
-            self._device_cycles[cycles_key] = device_cycles
-
-        # Bank occupancy (== bank.reserve(now, device_cycles)).
-        start = bank.busy_until
-        if start < now:
-            start = now
-        bank.busy_until = start + device_cycles
-        finish = start + device_cycles
-
-        # Energy and traffic (== energy.record_* with the same float ops).
-        if activates:
-            self.energy.activate_precharge_nj += activates * self._activate_nj
+        self.energy.record_row_operations(row_access.activates, row_access.precharges)
         if is_write:
-            self.energy.write_nj += num_bytes / 64.0 * self._write_nj_per_64b
+            self.energy.record_write(num_bytes)
             self.bytes_written += num_bytes
         else:
-            self.energy.read_nj += num_bytes / 64.0 * self._read_nj_per_64b
+            self.energy.record_read(num_bytes)
             self.bytes_read += num_bytes
-
         self.access_count += 1
-        if outcome_code == 0:
+        if outcome is RowOutcome.HIT:
             self.row_hit_count += 1
-        self.busy_cpu_cycles += device_cycles
 
         return DramAccessResult(
-            outcome=_OUTCOME_CODES[outcome_code],
+            outcome=outcome,
             start_cycle=start,
             finish_cycle=finish,
             latency=finish - now,
@@ -240,19 +172,6 @@ class MemoryController:
         """Total data moved through this DRAM instance."""
         return self.bytes_read + self.bytes_written
 
-    def utilization(self, elapsed_cycles: int) -> float:
-        """Aggregate bank-time utilisation over ``elapsed_cycles``.
-
-        A summary of ``busy_cpu_cycles`` for analyses; the performance
-        model does not read it.  Contention, which sinks the page-based
-        design at small capacities (Fig. 6), comes from the bank queueing
-        inside :meth:`access`.
-        """
-        if elapsed_cycles <= 0:
-            raise ValueError("elapsed_cycles must be positive")
-        capacity = elapsed_cycles * self.mapping.channels * self.mapping.banks_per_channel
-        return min(1.0, self.busy_cpu_cycles / capacity)
-
     def peak_bandwidth_bytes_per_cycle(self) -> float:
         """Peak data bandwidth of all channels, in bytes per CPU cycle."""
         bytes_per_bus_cycle = self.timing.bus_width_bits / 8 * 2  # DDR: 2 beats
@@ -262,7 +181,6 @@ class MemoryController:
         """Zero statistics and energy (keeps row-buffer/busy state)."""
         self.access_count = 0
         self.row_hit_count = 0
-        self.busy_cpu_cycles = 0
         self.bytes_read = 0
         self.bytes_written = 0
         self.energy.reset()

@@ -83,6 +83,18 @@ def default_requests(capacity_mb: int, scale: int = 256) -> int:
     return max(120_000, pages * 120)
 
 
+def point_key(description: Mapping[str, Any]) -> str:
+    """Store key of a point's :meth:`ExperimentPoint.describe` payload.
+
+    The sha256 prefix of its sorted JSON.  ``describe()`` output is pure
+    JSON, so a payload loaded back from a store line hashes to the key
+    it was stored under; a store line whose key differs is orphaned
+    (:meth:`repro.exp.store.ResultStore.stats`).
+    """
+    text = json.dumps(description, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()[:20]
+
+
 def freeze_kwargs(kwargs: Union[Mapping[str, Any], Sequence[Tuple[str, Any]]]) -> CacheKwargs:
     """Normalise override kwargs to a sorted, hashable tuple of pairs."""
     items = kwargs.items() if isinstance(kwargs, Mapping) else tuple(kwargs)
@@ -265,8 +277,7 @@ class ExperimentPoint:
         """
         cached = self.__dict__.get("_key")
         if cached is None:
-            text = json.dumps(self.describe(), sort_keys=True, default=repr)
-            cached = hashlib.sha256(text.encode()).hexdigest()[:20]
+            cached = point_key(self.describe())
             object.__setattr__(self, "_key", cached)
         return cached
 

@@ -40,14 +40,13 @@ unsharded run would have produced.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exp.locking import LOCK_SUFFIX, file_lock
-from repro.exp.spec import ENGINE_VERSION, ExperimentPoint
+from repro.exp.spec import ENGINE_VERSION, ExperimentPoint, point_key
 from repro.sim.simulator import SimulationResult
 
 STORE_FILENAME = "results.jsonl"
@@ -81,21 +80,6 @@ def default_results_dir() -> str:
     """
     root = _REPO_ROOT if os.path.isdir(os.path.join(_REPO_ROOT, "benchmarks")) else ""
     return os.path.join(root, "benchmarks", "results")
-
-
-def _point_key(payload: Any) -> str:
-    """Recompute a record's key from its stored ``point`` payload.
-
-    Mirrors :meth:`repro.exp.spec.ExperimentPoint.key` exactly: the key
-    is the sha256 prefix of the sorted-JSON ``describe()`` payload, and
-    ``describe()`` output is pure JSON, so hashing the loaded payload
-    reproduces the original hash bit-for-bit.  A mismatch means the line
-    was hand-edited, was produced by an incompatible hashing scheme, or
-    its key belongs to a different point — an *orphaned* record that no
-    lookup can ever legitimately serve.
-    """
-    text = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
 @dataclass(frozen=True)
@@ -276,7 +260,7 @@ class ResultStore:
         """True if the store file ends in a torn, newline-less line.
 
         Appending straight after such a tail would glue the new record
-        onto the torn line, corrupting both; :meth:`_append_lines`
+        onto the torn line, corrupting both; :meth:`_append_locked`
         writes a leading newline instead, which turns the torn tail into
         an ordinary skippable torn line.
         """
@@ -290,9 +274,11 @@ class ResultStore:
     def _append_locked(self, lines: Iterable[str]) -> None:
         """Append ``lines``; the caller must hold :attr:`lock_path`.
 
-        The torn-tail check and the append are one critical section:
-        checking outside the lock could glue two writers' repairs (or a
-        repair and a record) together.
+        The single append protocol: :meth:`put` and :meth:`merge` both
+        write through here, so directly-written and shard-merged stores
+        cannot diverge in on-disk format.  The torn-tail check and the
+        append are one critical section: checking outside the lock could
+        glue two writers' repairs (or a repair and a record) together.
         """
         os.makedirs(self.directory, exist_ok=True)
         repair = self._tail_missing_newline()
@@ -301,17 +287,6 @@ class ResultStore:
                 handle.write("\n")
             for line in lines:
                 handle.write(line + "\n")
-
-    def _append_lines(self, lines: Iterable[str]) -> None:
-        """The single append protocol: every writer goes through here.
-
-        Shared by :meth:`put` and :meth:`merge` so directly-written and
-        shard-merged stores cannot diverge in on-disk format.  The
-        advisory lock serialises concurrent writers; torn-tail repair
-        happens inside the same critical section.
-        """
-        with file_lock(self.lock_path):
-            self._append_locked(lines)
 
     def put(self, point: ExperimentPoint, result: SimulationResult) -> None:
         """Persist ``result`` under ``point``'s config hash.
@@ -384,7 +359,7 @@ class ResultStore:
                     if point.get("engine") != ENGINE_VERSION:
                         entries.append((raw, "stale", key))
                         continue
-                    if _point_key(point) != key:
+                    if point_key(point) != key:
                         entries.append((raw, "orphaned", key))
                         continue
                     if key in last_for_key:

@@ -5,7 +5,7 @@ fleet from a black box into a measurable system, without ever touching
 the per-request replay inner loop:
 
 * :mod:`repro.obs.metrics` — a zero-dependency metrics registry
-  (counters, gauges, histograms, all with labels) that every subsystem
+  (counters and gauges, both with labels) that every subsystem
   shares through :func:`~repro.obs.metrics.registry`; exposed by
   ``repro serve`` as JSON (``GET /api/v1/metrics``) and Prometheus
   text format (``GET /metrics``);

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms, labels.
+"""Process-wide metrics registry: counters and gauges with labels.
 
 A deliberately small, dependency-free subset of the Prometheus client
 model.  Every subsystem records into one shared
@@ -31,12 +31,11 @@ Design constraints, in order:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "registry",
     "render_prometheus",
@@ -44,13 +43,6 @@ __all__ = [
 ]
 
 LabelKey = Tuple[Tuple[str, str], ...]
-
-# Upper bucket bounds (seconds) tuned for point simulation times: from
-# instant store hits to multi-minute distributed shards.
-DEFAULT_BUCKETS = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0,
-)
-
 
 def _label_key(labels: Dict[str, str]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -92,37 +84,6 @@ class Gauge:
     def dec(self, amount: float = 1) -> None:
         with self._lock:
             self.value -= amount
-
-
-class Histogram:
-    """Cumulative-bucket histogram (one label valuation)."""
-
-    __slots__ = ("_lock", "buckets", "counts", "total", "count")
-
-    def __init__(
-        self,
-        lock: threading.Lock,
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        self._lock = lock
-        self.buckets = tuple(sorted(buckets))
-        self.counts = [0] * (len(self.buckets) + 1)  # +inf tail
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self.total += value
-            self.count += 1
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.counts[i] += 1
-                    return
-            self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
 
 class _Metric:
@@ -171,39 +132,16 @@ class MetricsRegistry:
     def gauge(self, name: str, help_text: str = "", **labels) -> Gauge:
         return self._sample(name, "gauge", help_text, labels, Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-        **labels,
-    ) -> Histogram:
-        return self._sample(
-            name, "histogram", help_text, labels,
-            lambda lock: Histogram(lock, buckets),
-        )
-
     def as_dict(self) -> Dict[str, dict]:
         """JSON-ready snapshot: ``{name: {type, help, samples: [...]}}``."""
         out: Dict[str, dict] = {}
         with self._lock:
             for name in sorted(self._metrics):
                 metric = self._metrics[name]
-                samples: List[dict] = []
-                for key, sample in metric.samples.items():
-                    entry = {"labels": metric.labels_by_key[key]}
-                    if metric.kind == "histogram":
-                        entry.update(
-                            count=sample.count,
-                            sum=sample.total,
-                            buckets=[
-                                {"le": bound, "count": cumulative}
-                                for bound, cumulative in _cumulative(sample)
-                            ],
-                        )
-                    else:
-                        entry["value"] = sample.value
-                    samples.append(entry)
+                samples: List[dict] = [
+                    {"labels": metric.labels_by_key[key], "value": sample.value}
+                    for key, sample in metric.samples.items()
+                ]
                 out[name] = {
                     "type": metric.kind,
                     "help": metric.help,
@@ -215,21 +153,11 @@ class MetricsRegistry:
         return render_prometheus(self)
 
 
-def _cumulative(histogram: Histogram) -> Iterable[Tuple[float, int]]:
-    running = 0
-    for bound, count in zip(histogram.buckets, histogram.counts):
-        running += count
-        yield bound, running
-    yield float("inf"), running + histogram.counts[-1]
-
-
-def _format_labels(labels: Dict[str, str], extra: str = "") -> str:
+def _format_labels(labels: Dict[str, str]) -> str:
     parts = [
         '%s="%s"' % (k, v.replace("\\", "\\\\").replace('"', '\\"'))
         for k, v in sorted(labels.items())
     ]
-    if extra:
-        parts.append(extra)
     return "{%s}" % ",".join(parts) if parts else ""
 
 
@@ -249,26 +177,10 @@ def render_prometheus(reg: "MetricsRegistry") -> str:
         lines.append(f"# HELP {name} {metric['help']}")
         lines.append(f"# TYPE {name} {metric['type']}")
         for sample in metric["samples"]:
-            labels = sample["labels"]
-            if metric["type"] == "histogram":
-                for bucket in sample["buckets"]:
-                    le = 'le="%s"' % _format_value(float(bucket["le"]))
-                    lines.append(
-                        f"{name}_bucket{_format_labels(labels, le)}"
-                        f" {bucket['count']}"
-                    )
-                lines.append(
-                    f"{name}_sum{_format_labels(labels)}"
-                    f" {_format_value(sample['sum'])}"
-                )
-                lines.append(
-                    f"{name}_count{_format_labels(labels)} {sample['count']}"
-                )
-            else:
-                lines.append(
-                    f"{name}{_format_labels(labels)}"
-                    f" {_format_value(sample['value'])}"
-                )
+            lines.append(
+                f"{name}{_format_labels(sample['labels'])}"
+                f" {_format_value(sample['value'])}"
+            )
     return "\n".join(lines) + "\n" if lines else ""
 
 

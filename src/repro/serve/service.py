@@ -233,7 +233,7 @@ def _json_body(body: Optional[bytes]) -> Any:
         raise ServiceError(400, "request body must be a JSON object")
     try:
         return json.loads(body)
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8
         raise ServiceError(400, f"request body is not valid JSON: {error}")
 
 

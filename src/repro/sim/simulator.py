@@ -226,35 +226,18 @@ class Simulator:
         perf.start_measurement()
         measuring = warmup == 0
 
-        # The replay loop is the hottest code in the repo: everything it
-        # touches per request is bound to a local, and the per-core time
-        # accounting is inlined (same arithmetic, in the same order, as
-        # PerformanceModel.core_now/advance — see test_perf_model's
-        # equivalence test).  Instruction counts accumulate locally and
-        # flush to the model at the measurement boundary and at the end.
         access = self.system.frontend.access
-        core_time = perf._core_time
-        num_cores = perf.num_cores
-        base_cpi = perf.base_cpi
-        exposed = perf.exposed_latency_fraction
         processed = 0
-        instructions = 0
         for window, start, stop in self._windows(trace):
             for request in window.requests(start, stop):
                 if processed == warmup and not measuring:
-                    perf._instructions += instructions
-                    instructions = 0
                     self.system.reset_stats()
                     perf.start_measurement()
                     measuring = True
-                core = request.core_id % num_cores
-                result = access(request, int(core_time[core]))
-                core_time[core] += (
-                    request.instruction_count * base_cpi + result.latency * exposed
-                )
-                instructions += request.instruction_count
+                core = request.core_id
+                result = access(request, perf.core_now(core))
+                perf.advance(core, request.instruction_count, result.latency)
                 processed += 1
-        perf._instructions += instructions
 
         measured = processed - warmup if measuring else processed
         return self._summarise(measured)

@@ -4,7 +4,7 @@ Each kernel replays one trace segment: a NumPy precompute pass turns the
 columnar segment into flat Python lists (page, block offset, tag set,
 write flag, core, instruction-cycle product), then ONE tight loop applies
 the *same arithmetic in the same order* as the scalar reference —
-``MemoryController.access`` + the design's full access flow + the
+the design's full access flow + ``MemoryController.access`` + the
 simulator's per-core time recurrence — writing directly through to the
 real simulation state (banks, recency-ordered set dicts, tag entries,
 block bit vectors, frame free-lists, predictor tables, per-core clocks).
@@ -15,9 +15,16 @@ bypass, MissMap forced eviction — so no per-request objects are built
 and no virtual dispatch happens anywhere on the replay path.  The
 inlined bodies are transcriptions of ``FootprintCache.access``,
 ``PageBasedCache.access``, ``BlockBasedCache.access`` with its
-``MissMap``, ``BaselineMemory.access``, ``IdealCache.access`` and
-``MemoryController.access``; tests pin bit-exact equivalence per
-design x workload x seed.
+``MissMap``, ``BaselineMemory.access`` and ``IdealCache.access``, of
+the DRAM reference ``MemoryController.access`` composes
+(``AddressMapping.locate``, ``Bank.access``, ``Bank.reserve``, the
+``DramEnergyCounters.record_*`` methods) and of
+``PerformanceModel.core_now``/``advance``; tests pin bit-exact
+equivalence per design x workload x seed.  Two rules are not
+transcribed but shared: device cycles come from
+``MemoryController.device_cycles`` and critical-block-first burst
+tails from ``DramCache._burst_tail``, so only the golden records can
+catch a mistake in them.
 
 Mirroring rules that make the parity hold to the last bit:
 
@@ -27,16 +34,16 @@ Mirroring rules that make the parity hold to the last bit:
   MissMap's) — integer addition is exact and the scalar path touches no
   other accumulators meanwhile (the kernel IS the only writer during a
   segment).  Counts that are linear in other counts (controller access
-  totals, block-sized byte totals, close-page busy cycles) are derived
-  at flush time instead of incremented per event.
+  totals, block-sized byte totals) are derived at flush time instead of
+  incremented per event.
 * Energy floats accumulate in locals seeded from the controller's
   current values and store back at segment end.  Because the kernel
   adds the same addends in the same stream order as the reference, the
   IEEE rounding sequence is identical — which is also why energy adds
   can NOT be batched like the integer counters.
-* Device-cycle memo lookups go through the controller's own
-  ``_device_cycles`` dict, so memoisation is shared with any scalar
-  code that runs before or after.
+* Device-cycle lookups read the controller's own ``_device_cycles``
+  memo and call ``MemoryController.device_cycles`` on a miss, so the
+  kernels and the scalar path share one rule and one memo.
 * When the stacked controller's interleave stripe is a whole number of
   cache pages, every address inside a page frame decomposes to the same
   (bank, row); the kernels then precompute one bank/row pair per frame
@@ -79,6 +86,7 @@ from repro.core.block_state import PageBlockBits
 from repro.core.footprint_cache import FootprintCache, PageEntry
 from repro.core.footprint_predictor import FootprintHistoryTable, _FhtEntry
 from repro.core.singleton_table import SingletonEntry, SingletonTable
+from repro.dram.bank import RowBufferPolicy
 from repro.dram.controller import MemoryController
 
 _FHT_HASH_PC = 0x9E3779B1
@@ -87,43 +95,21 @@ _FHT_HASH_OFFSET = 0x85EBCA77
 
 def _plain_open_page(controller) -> bool:
     """True when the inlined open-page controller model applies exactly."""
-    return type(controller) is MemoryController and not controller._close_page
+    return type(controller) is MemoryController and controller.policy is RowBufferPolicy.OPEN_PAGE
 
 
 def _plain_close_page(controller) -> bool:
     """True when the inlined close-page controller model applies exactly."""
-    return type(controller) is MemoryController and controller._close_page
-
-
-def _cycles(controller, num_bytes: int, code: int, is_write: bool) -> int:
-    """Device CPU cycles for one access, seeded into the controller memo.
-
-    Exactly ``MemoryController.access``'s miss path for its
-    ``_device_cycles`` dict, so inlined lookups and any scalar-path
-    lookups observe the same values.
-    """
-    row_bus_cycles = controller._row_cycles[code]
-    stripe_bytes = min(num_bytes, controller._interleave_bytes)
-    burst_bus_cycles = controller.timing.burst_cycles(stripe_bytes)
-    if is_write:
-        row_bus_cycles += controller._write_recovery
-    cycles = controller.timing.to_cpu_cycles(
-        row_bus_cycles + burst_bus_cycles, controller.cpu_mhz
-    )
-    controller._device_cycles[(num_bytes, code, is_write)] = cycles
-    return cycles
+    return type(controller) is MemoryController and controller.policy is RowBufferPolicy.CLOSE_PAGE
 
 
 def _device_cycle_table(controller, num_bytes: int):
     """Device-cycle table for one size, indexed ``is_write * 3 + code``."""
-    table = []
-    for is_write in (False, True):
-        for code in (0, 1, 2):
-            cycles = controller._device_cycles.get((num_bytes, code, is_write))
-            if cycles is None:
-                cycles = _cycles(controller, num_bytes, code, is_write)
-            table.append(cycles)
-    return tuple(table)
+    return tuple(
+        controller.device_cycles(num_bytes, code, is_write)
+        for is_write in (False, True)
+        for code in (0, 1, 2)
+    )
 
 
 class _Dram:
@@ -137,19 +123,21 @@ class _Dram:
 
     def __init__(self, controller, block_size: int) -> None:
         self.controller = controller
-        self.interleave = controller._interleave_bytes
-        self.channels = controller._channels
-        self.banks_per_channel = controller._banks_per_channel
-        self.chunks_per_row = controller._chunks_per_row
+        mapping = controller.mapping
+        self.interleave = mapping.interleave_bytes
+        self.channels = mapping.channels
+        self.banks_per_channel = mapping.banks_per_channel
+        self.chunks_per_row = mapping.chunks_per_row
         self.banks = [bank for channel in controller._banks for bank in channel]
         self.table = _device_cycle_table(controller, block_size)
-        self.act_nj = controller._activate_nj
+        model = controller.energy.model
+        self.act_nj = model.activate_precharge_nj
         # Block-size energy constants: same expression, same operand
         # order as the reference's per-access ``num_bytes/64.0 * per64``.
-        self.read_nj = block_size / 64.0 * controller._read_nj_per_64b
-        self.write_nj = block_size / 64.0 * controller._write_nj_per_64b
-        self.read_nj_per_64b = controller._read_nj_per_64b
-        self.write_nj_per_64b = controller._write_nj_per_64b
+        self.read_nj = block_size / 64.0 * model.read_burst_nj_per_64b
+        self.write_nj = block_size / 64.0 * model.write_burst_nj_per_64b
+        self.read_nj_per_64b = model.read_burst_nj_per_64b
+        self.write_nj_per_64b = model.write_burst_nj_per_64b
         self.memo = controller._device_cycles
 
     def decompose(self, address: int):
@@ -222,7 +210,6 @@ class _OneAccessKernel:
         e_rd = energy.read_nj
         e_wr = energy.write_nj
         row_hits = 0
-        busy = 0
         writes_seen = 0
         for k in range(m):
             w = writes_l[k]
@@ -249,7 +236,6 @@ class _OneAccessKernel:
             finish = start + dc
             bank.busy_until = finish
             ct[c] = t + (icb_l[k] + (finish - now) * exposed)
-            busy += dc
             if w:
                 e_wr += wr_nj
                 writes_seen += 1
@@ -262,7 +248,6 @@ class _OneAccessKernel:
         bs = self.block_size
         controller.access_count += m
         controller.row_hit_count += row_hits
-        controller.busy_cpu_cycles += busy
         controller.bytes_written += writes_seen * bs
         controller.bytes_read += reads_seen * bs
         cache = self.cache
@@ -297,8 +282,8 @@ class _StackedKernelBase:
         # Page-sized tables for the fetch/fill pair of a page miss.
         self.stacked_page_table = _device_cycle_table(cache.stacked, self.page_size)
         self.offchip_page_table = _device_cycle_table(cache.offchip, self.page_size)
-        # Critical-block-first burst tails by fetch size, computed with
-        # DramCache._critical_fetch_latency's exact expression.
+        # Critical-block-first burst tails by fetch size
+        # (``DramCache._burst_tail``).
         self._tails = {}
         sram = cache._tags
         self.num_sets = sram.num_sets
@@ -328,12 +313,7 @@ class _StackedKernelBase:
         """Memoised off-critical-path burst tail for one fetch size."""
         tail = self._tails.get(num_bytes)
         if tail is None:
-            offchip = self.cache.offchip
-            timing = offchip.timing
-            stripe = min(num_bytes, offchip.mapping.interleave_bytes)
-            tail_bus = timing.burst_cycles(stripe) - timing.burst_cycles(self.block_size)
-            tail = timing.to_cpu_cycles(max(0, tail_bus))
-            self._tails[num_bytes] = tail
+            tail = self._tails[num_bytes] = self.cache._burst_tail(num_bytes)
         return tail
 
     def _columns(self, cols):
@@ -402,8 +382,8 @@ class _PageKernel(_StackedKernelBase):
         o_decompose = od.decompose
         tail_page = self._tail(page_size)
 
-        s_rowhit = s_busy = 0
-        o_rowhit = o_busy = 0
+        s_rowhit = 0
+        o_rowhit = 0
         s_brd_v = o_bwr_v = 0
         n_hr = n_hw = n_alloc = n_dirty = 0
         c_wb = 0
@@ -447,7 +427,6 @@ class _PageKernel(_StackedKernelBase):
                 start = bz if bz > nowx else nowx
                 finish = start + dc
                 bank.busy_until = finish
-                s_busy += dc
                 latency = tagl + (finish - nowx)
                 bit = 1 << offs_l[k]
                 line.demanded_mask |= bit
@@ -492,11 +471,10 @@ class _PageKernel(_StackedKernelBase):
                                 bank.precharge_count += 1
                         dc = s_memo.get((nb, code, False))
                         if dc is None:
-                            dc = _cycles(s_ctrl, nb, code, False)
+                            dc = s_ctrl.device_cycles(nb, code, False)
                         bz = bank.busy_until
                         start = bz if bz > now_mr else now_mr
                         bank.busy_until = start + dc
-                        s_busy += dc
                         se_rd += nb / 64.0 * s_rd64
                         s_brd_v += nb
                         # off-chip write-back of the same bytes
@@ -516,11 +494,10 @@ class _PageKernel(_StackedKernelBase):
                                 bank.precharge_count += 1
                         dc = o_memo.get((nb, code, True))
                         if dc is None:
-                            dc = _cycles(o_ctrl, nb, code, True)
+                            dc = o_ctrl.device_cycles(nb, code, True)
                         bz = bank.busy_until
                         start = bz if bz > now_mr else now_mr
                         bank.busy_until = start + dc
-                        o_busy += dc
                         oe_wr += nb / 64.0 * o_wr64
                         o_bwr_v += nb
                     frame_free[sid].append(vline.frame // page_size - sid * assoc)
@@ -546,7 +523,6 @@ class _PageKernel(_StackedKernelBase):
                 start = bz if bz > now_mr else now_mr
                 finish = start + dc
                 bank.busy_until = finish
-                o_busy += dc
                 oe_rd += page_size / 64.0 * o_rd64
                 latency = tagl + ((finish - now_mr) - tail_page)
                 # stacked page fill (write)
@@ -573,7 +549,6 @@ class _PageKernel(_StackedKernelBase):
                 bz = bank.busy_until
                 start = bz if bz > nowf else nowf
                 bank.busy_until = start + dc
-                s_busy += dc
                 se_wr += page_size / 64.0 * s_wr64
                 bit = 1 << offs_l[k]
                 line = PageLine(frame=frame, demanded_mask=bit)
@@ -593,12 +568,10 @@ class _PageKernel(_StackedKernelBase):
         c_hit = n_hr + n_hw
         s_ctrl.access_count += c_hit + n_alloc + n_dirty
         s_ctrl.row_hit_count += s_rowhit
-        s_ctrl.busy_cpu_cycles += s_busy
         s_ctrl.bytes_read += n_hr * bs + s_brd_v
         s_ctrl.bytes_written += n_hw * bs + n_alloc * page_size
         o_ctrl.access_count += n_alloc + n_dirty
         o_ctrl.row_hit_count += o_rowhit
-        o_ctrl.busy_cpu_cycles += o_busy
         o_ctrl.bytes_read += n_alloc * page_size
         o_ctrl.bytes_written += o_bwr_v
         cache.accesses += m
@@ -698,8 +671,8 @@ class _FootprintKernel(_StackedKernelBase):
         o_decompose = od.decompose
         tails = self._tails
 
-        s_rowhit = s_busy = 0
-        o_rowhit = o_busy = 0
+        s_rowhit = 0
+        o_rowhit = 0
         s_brd_v = s_bwr_v = o_brd_v = o_bwr_v = 0
         n_hr = n_hw = n_alloc = n_dirty = 0
         c_fill_v = c_wb = 0
@@ -753,7 +726,6 @@ class _FootprintKernel(_StackedKernelBase):
                     start = bz if bz > nowx else nowx
                     finish = start + dc
                     bank.busy_until = finish
-                    s_busy += dc
                     latency = tagl + (finish - nowx)
                     if w:
                         se_wr += s_wr_nj
@@ -790,7 +762,6 @@ class _FootprintKernel(_StackedKernelBase):
                     start = bz if bz > nowx else nowx
                     finish = start + dc
                     bank.busy_until = finish
-                    o_busy += dc
                     oe_rd += o_rd_nj
                     latency = tagl + (finish - nowx)
                     # stacked block fill (write)
@@ -817,7 +788,6 @@ class _FootprintKernel(_StackedKernelBase):
                     bz = bank.busy_until
                     start = bz if bz > nowf else nowf
                     bank.busy_until = start + dc
-                    s_busy += dc
                     se_wr += s_wr_nj
                     # mark_demanded(off, dirty=w) on current masks
                     blocks.high_mask = high | bit
@@ -903,7 +873,6 @@ class _FootprintKernel(_StackedKernelBase):
                 start = bz if bz > nowx else nowx
                 finish = start + dc
                 bank.busy_until = finish
-                o_busy += dc
                 if w:
                     oe_wr += o_wr_nj
                     n_byp_w += 1
@@ -976,11 +945,10 @@ class _FootprintKernel(_StackedKernelBase):
                             bank.precharge_count += 1
                     dc = s_memo.get((nb, code, False))
                     if dc is None:
-                        dc = _cycles(s_ctrl, nb, code, False)
+                        dc = s_ctrl.device_cycles(nb, code, False)
                     bz = bank.busy_until
                     start = bz if bz > now_mr else now_mr
                     bank.busy_until = start + dc
-                    s_busy += dc
                     se_rd += nb / 64.0 * s_rd64
                     s_brd_v += nb
                     # off-chip write-back
@@ -1000,11 +968,10 @@ class _FootprintKernel(_StackedKernelBase):
                             bank.precharge_count += 1
                     dc = o_memo.get((nb, code, True))
                     if dc is None:
-                        dc = _cycles(o_ctrl, nb, code, True)
+                        dc = o_ctrl.device_cycles(nb, code, True)
                     bz = bank.busy_until
                     start = bz if bz > now_mr else now_mr
                     bank.busy_until = start + dc
-                    o_busy += dc
                     oe_wr += nb / 64.0 * o_wr64
                     o_bwr_v += nb
                 wb = dirty
@@ -1034,12 +1001,11 @@ class _FootprintKernel(_StackedKernelBase):
                     bank.precharge_count += 1
             dc = o_memo.get((nb, code, False))
             if dc is None:
-                dc = _cycles(o_ctrl, nb, code, False)
+                dc = o_ctrl.device_cycles(nb, code, False)
             bz = bank.busy_until
             start = bz if bz > now_mr else now_mr
             finish = start + dc
             bank.busy_until = finish
-            o_busy += dc
             oe_rd += nb / 64.0 * o_rd64
             o_brd_v += nb
             tail = tails.get(nb)
@@ -1069,11 +1035,10 @@ class _FootprintKernel(_StackedKernelBase):
                     bank.precharge_count += 1
             dc = s_memo.get((nb, code, True))
             if dc is None:
-                dc = _cycles(s_ctrl, nb, code, True)
+                dc = s_ctrl.device_cycles(nb, code, True)
             bz = bank.busy_until
             start = bz if bz > nowf else nowf
             bank.busy_until = start + dc
-            s_busy += dc
             se_wr += nb / 64.0 * s_wr64
             s_bwr_v += nb
             # install_prefetched(pmask) then mark_demanded(off, dirty=w)
@@ -1098,12 +1063,10 @@ class _FootprintKernel(_StackedKernelBase):
         n_byp_r = n_byp - n_byp_w
         s_ctrl.access_count += c_hit + n_under + n_alloc + n_dirty
         s_ctrl.row_hit_count += s_rowhit
-        s_ctrl.busy_cpu_cycles += s_busy
         s_ctrl.bytes_read += n_hr * bs + s_brd_v
         s_ctrl.bytes_written += (n_hw + n_under) * bs + s_bwr_v
         o_ctrl.access_count += n_under + n_byp + n_alloc + n_dirty
         o_ctrl.row_hit_count += o_rowhit
-        o_ctrl.busy_cpu_cycles += o_busy
         o_ctrl.bytes_read += (n_under + n_byp_r) * bs + o_brd_v
         o_ctrl.bytes_written += n_byp_w * bs + o_bwr_v
         cache.accesses += m
@@ -1374,11 +1337,9 @@ class _BlockKernel:
         s_reads = n_hr + n_wb
         s_writes = n_hw + n_miss
         s_ctrl.access_count += s_reads + s_writes
-        s_ctrl.busy_cpu_cycles += s_reads * s_rd_dc + s_writes * s_wr_dc
         s_ctrl.bytes_read += s_reads * bs
         s_ctrl.bytes_written += s_writes * bs
         o_ctrl.access_count += n_miss + n_wb
-        o_ctrl.busy_cpu_cycles += n_miss * o_rd_dc + n_wb * o_wr_dc
         o_ctrl.bytes_read += n_miss * bs
         o_ctrl.bytes_written += n_wb * bs
         cache.accesses += m

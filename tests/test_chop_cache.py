@@ -120,8 +120,8 @@ def _controller_state(controller):
     energy = controller.energy
     return (
         controller.access_count, controller.row_hit_count,
-        controller.busy_cpu_cycles, controller.bytes_read,
-        controller.bytes_written, energy.activate_precharge_nj,
+        controller.bytes_read, controller.bytes_written,
+        energy.activate_precharge_nj,
         energy.read_nj, energy.write_nj,
     )
 

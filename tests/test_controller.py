@@ -3,8 +3,8 @@
 import pytest
 
 from repro.dram.address_mapping import AddressMapping
-from repro.dram.bank import RowBufferPolicy
-from repro.dram.controller import AccessOutcome, MemoryController
+from repro.dram.bank import RowBufferPolicy, RowOutcome
+from repro.dram.controller import MemoryController
 from repro.dram.timing import OFF_CHIP_DDR3_1600, STACKED_DDR3_3200
 
 
@@ -22,7 +22,7 @@ class TestBasicAccess:
     def test_first_access_row_closed(self):
         controller = make_controller()
         result = controller.access(0, 64, False, now=0)
-        assert result.outcome is AccessOutcome.ROW_CLOSED
+        assert result.outcome is RowOutcome.CLOSED
         assert result.queue_cycles == 0
         assert result.latency > 0
 
@@ -30,10 +30,10 @@ class TestBasicAccess:
         controller = make_controller()
         controller.access(0, 64, False, 0)
         hit = controller.access(64, 64, False, 10_000)
-        assert hit.outcome is AccessOutcome.ROW_HIT
+        assert hit.outcome is RowOutcome.HIT
         # Another row in the same bank: stride past all channels/banks/rows.
         conflict = controller.access(8 * 2048, 64, False, 20_000)
-        assert conflict.outcome is AccessOutcome.ROW_CONFLICT
+        assert conflict.outcome is RowOutcome.CONFLICT
         assert hit.latency < conflict.latency
 
     def test_invalid_arguments(self):
@@ -105,16 +105,6 @@ class TestEnergy:
 
 
 class TestUtilization:
-    def test_utilization_bounded(self):
-        controller = make_controller()
-        for i in range(50):
-            controller.access(i * 64, 64, False, 0)
-        assert 0.0 < controller.utilization(10_000) <= 1.0
-
-    def test_utilization_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            make_controller().utilization(0)
-
     def test_peak_bandwidth(self):
         # DDR3-1600 x64: 12.8GB/s = 4.266B per 3GHz CPU cycle.
         controller = make_controller()
@@ -148,37 +138,28 @@ class TestReset:
         controller.access(0, 64, False, 0)
         controller.reset_stats()
         result = controller.access(64, 64, False, 10_000)
-        assert result.outcome is AccessOutcome.ROW_HIT
+        assert result.outcome is RowOutcome.HIT
 
 
 class TestInlinedAccessEquivalence:
-    """The controller inlines locate + Bank.access + energy accounting.
+    """The controller composes the DRAM reference with one memoised rule.
 
-    Bank and AddressMapping remain the reference implementations; this
+    ``MemoryController.access`` calls ``AddressMapping.locate``,
+    ``Bank.access``, ``Bank.reserve`` and the energy counters; the one
+    rule it adds is :meth:`MemoryController.device_cycles`, memoised per
+    (size, row code, write) and shared with the batch kernels.  This
     randomized test replays the same access sequence through the
-    de-virtualized MemoryController.access and through a step-by-step
-    reference built from those primitives, and requires identical
-    outcomes, timing, traffic, energy and bank state.
+    controller and through a step-by-step reference that computes the
+    device cycles from the timing without the memo, and requires
+    identical outcomes, timing, traffic, energy and bank state.
     """
 
     @staticmethod
-    def _reference_access(mapping, timing, policy, banks, energy_model, state, request):
-        """One access exactly as the pre-optimisation controller computed it."""
-        from repro.dram.bank import RowOutcome
-        from repro.dram.controller import AccessOutcome
-
-        address, num_bytes, is_write, now = request
-        channel, bank_index, row = mapping.locate(address)
-        bank = banks[channel][bank_index]
-        bank_access = bank.access(row)
-        outcome = {
-            RowOutcome.HIT: AccessOutcome.ROW_HIT,
-            RowOutcome.CLOSED: AccessOutcome.ROW_CLOSED,
-            RowOutcome.CONFLICT: AccessOutcome.ROW_CONFLICT,
-        }[bank_access.outcome]
-        if bank_access.outcome is RowOutcome.HIT:
+    def _device_cycles(mapping, timing, policy, num_bytes, outcome, is_write):
+        """Row operation + one stripe's burst (+ close-page write recovery)."""
+        if outcome is RowOutcome.HIT:
             row_bus_cycles = timing.row_hit_bus_cycles
-        elif bank_access.outcome is RowOutcome.CLOSED:
+        elif outcome is RowOutcome.CLOSED:
             row_bus_cycles = timing.row_closed_bus_cycles
         else:
             row_bus_cycles = timing.row_conflict_bus_cycles
@@ -186,7 +167,18 @@ class TestInlinedAccessEquivalence:
         burst = timing.burst_cycles(stripe)
         if is_write:
             row_bus_cycles += timing.t_wr if policy is RowBufferPolicy.CLOSE_PAGE else 0
-        device_cycles = timing.to_cpu_cycles(row_bus_cycles + burst, 3000)
+        return timing.to_cpu_cycles(row_bus_cycles + burst, 3000)
+
+    @classmethod
+    def _reference_access(cls, mapping, timing, policy, banks, state, request):
+        """One access computed from the primitives, without the memo."""
+        address, num_bytes, is_write, now = request
+        channel, bank_index, row = mapping.locate(address)
+        bank = banks[channel][bank_index]
+        bank_access = bank.access(row)
+        device_cycles = cls._device_cycles(
+            mapping, timing, policy, num_bytes, bank_access.outcome, is_write
+        )
         start = bank.reserve(now, device_cycles)
         state["energy"].record_row_operations(bank_access.activates, bank_access.precharges)
         if is_write:
@@ -195,8 +187,7 @@ class TestInlinedAccessEquivalence:
         else:
             state["energy"].record_read(num_bytes)
             state["bytes_read"] += num_bytes
-        state["busy"] += device_cycles
-        return outcome, start, start + device_cycles, start + device_cycles - now
+        return bank_access.outcome, start, start + device_cycles, start + device_cycles - now
 
     @pytest.mark.parametrize("policy", [RowBufferPolicy.OPEN_PAGE, RowBufferPolicy.CLOSE_PAGE])
     @pytest.mark.parametrize("interleave", [64, 2048])
@@ -218,7 +209,7 @@ class TestInlinedAccessEquivalence:
         banks = [[Bank(policy) for _ in range(4)] for _ in range(2)]
         state = {
             "energy": DramEnergyCounters(model=DramEnergyModel.stacked()),
-            "bytes_read": 0, "bytes_written": 0, "busy": 0,
+            "bytes_read": 0, "bytes_written": 0,
         }
 
         now = 0
@@ -231,8 +222,7 @@ class TestInlinedAccessEquivalence:
             )
             result = controller.access(*request)
             outcome, start, finish, latency = self._reference_access(
-                mapping, STACKED_DDR3_3200, policy, banks,
-                DramEnergyModel.stacked(), state, request,
+                mapping, STACKED_DDR3_3200, policy, banks, state, request,
             )
             assert result.outcome is outcome
             assert (result.start_cycle, result.finish_cycle, result.latency) == (
@@ -240,9 +230,14 @@ class TestInlinedAccessEquivalence:
             )
             now += rng.randrange(0, 200)
 
+        # Every memoised entry is the rule computed without the memo.
+        assert len(controller._device_cycles) >= 8  # 4 sizes x read/write
+        for (num_bytes, code, is_write), cycles in controller._device_cycles.items():
+            assert cycles == self._device_cycles(
+                mapping, STACKED_DDR3_3200, policy, num_bytes, RowOutcome(code), is_write
+            )
         assert controller.bytes_read == state["bytes_read"]
         assert controller.bytes_written == state["bytes_written"]
-        assert controller.busy_cpu_cycles == state["busy"]
         assert controller.energy.activate_precharge_nj == state["energy"].activate_precharge_nj
         assert controller.energy.read_nj == state["energy"].read_nj
         assert controller.energy.write_nj == state["energy"].write_nj

@@ -98,11 +98,14 @@ class TestPerformanceModel:
 
 class TestInlinedLoopEquivalence:
     def test_simulator_inline_arithmetic_matches_model(self):
-        """The simulator's replay loop inlines core_now/advance.
+        """The batch kernels inline core_now/advance.
 
-        This pins the equivalence: the inlined form (locals bound, the
-        same float expression) must walk per-core time and instruction
-        totals exactly like the public methods, for arbitrary sequences.
+        The reference loop calls the methods; the kernels in
+        ``repro.vector.kernels`` keep per-core time in the model's own
+        list and total instructions per segment.  This pins that
+        recurrence: the inlined form (locals bound, the same float
+        expression) must walk per-core time and instruction totals
+        exactly like the public methods, for arbitrary sequences.
         """
         import random
 

@@ -402,3 +402,35 @@ def test_malformed_content_length_gets_400_and_close(http_stack, declared):
     assert "Content-Length" in json.loads(body)["error"]
     status, payload = request(base, "/health")
     assert status == 200 and payload["status"] == "ok"
+
+
+@pytest.mark.parametrize("body", [b"\xff", b"\xff\xfe\xfd"])
+@pytest.mark.parametrize(
+    "path",
+    [
+        "/jobs",
+        "/coordinator/runs",
+        "/coordinator/lease",
+        "/coordinator/results",
+        "/coordinator/complete",
+    ],
+)
+def test_body_that_is_not_utf8_gets_400(http_stack, path, body):
+    """Bytes that do not decode as JSON text are invalid JSON.
+
+    ``json.loads`` raises ``UnicodeDecodeError`` for them, not
+    ``JSONDecodeError``; it once escaped ``dispatch`` on every JSON POST
+    route and dropped the connection.
+    """
+    base, _ = http_stack()
+    req = urllib.request.Request(
+        f"{base}{API_PREFIX}{path}", data=body,
+        headers={"Content-Type": "application/json"}, method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as raised:
+        urllib.request.urlopen(req, timeout=30)
+    assert raised.value.code == 400
+    error = json.loads(raised.value.read())["error"]
+    assert error.startswith("request body is not valid JSON"), error
+    status, payload = request(base, "/health")
+    assert status == 200 and payload["status"] == "ok"
