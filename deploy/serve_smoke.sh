@@ -7,6 +7,8 @@
 # through `python -m repro sweep` into a second store and byte-compares
 # the two results.jsonl files.  The service is a new front door to the
 # same engine, so the stores must be identical down to the byte.
+# Finally, a CLI sweep and a compaction change the server's store from
+# outside, and the running server must see both.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,3 +67,22 @@ curl -fsS "$BASE/jobs/$JOB/results?format=csv" | head -n 2
 python -m repro sweep --spec "$SPEC" --store "$WORK/cli_store" >/dev/null
 cmp "$WORK/http_store/results.jsonl" "$WORK/cli_store/results.jsonl"
 echo "serve smoke: HTTP and CLI stores are byte-identical"
+
+# The server keeps one ResultStore for its whole life; it must follow
+# what other processes do to the file: an append from a CLI sweep, then
+# a compaction, which rewrites the file under a new inode.
+records() {
+    curl -fsS "$BASE/health" |
+        python -c 'import json, sys; print(json.load(sys.stdin)["store_records"])'
+}
+test "$(records)" = 4
+python -m repro sweep --workloads web_search --designs page --capacities 64 \
+    --seeds 1 --requests 4000 --store "$WORK/http_store" >/dev/null
+test "$(records)" = 5
+INODE=$(stat -c %i "$WORK/http_store/results.jsonl")
+python -m repro store compact --store "$WORK/http_store" >/dev/null
+test "$(stat -c %i "$WORK/http_store/results.jsonl")" != "$INODE"
+test "$(records)" = 5
+curl -fsS "$BASE/jobs/$JOB/results" |
+    python -c 'import json, sys; assert json.load(sys.stdin)["complete"]'
+echo "serve smoke: the server's store follows a CLI append and a compaction"

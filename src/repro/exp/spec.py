@@ -429,7 +429,15 @@ class ExperimentSpec:
                 )
 
     def points(self) -> Tuple[ExperimentPoint, ...]:
-        """The deduplicated cross product, in deterministic grid order."""
+        """The deduplicated cross product, in deterministic grid order.
+
+        Computed once per spec, like :meth:`ExperimentPoint.key`: every
+        call returns the same points, so their memoised keys are reused
+        by every sweep, job and results fetch over this spec.
+        """
+        cached = self.__dict__.get("_points")
+        if cached is not None:
+            return cached
         seen = set()
         out = []
         for (workload, design, capacity, seed, page_size,
@@ -458,7 +466,8 @@ class ExperimentSpec:
             if point not in seen:
                 seen.add(point)
                 out.append(point)
-        return tuple(out)
+        object.__setattr__(self, "_points", tuple(out))
+        return self._points
 
     def __iter__(self) -> Iterator[ExperimentPoint]:
         return iter(self.points())

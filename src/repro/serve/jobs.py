@@ -14,13 +14,18 @@ transitions) to an in-memory log that HTTP clients poll or stream; the
 optional JSONL *journal* additionally persists lifecycle transitions so
 a restarted server can show what previous runs did (visibility only —
 jobs themselves are not resumed; the result store already holds every
-point they completed, which is the real restart currency).
+point they completed, which is the real restart currency).  The job
+table is bounded: it keeps every pending and running job plus the
+newest :data:`RETAINED_JOBS` terminal ones, and the journal keeps the
+history of the jobs it drops.
 
-The manager deliberately reuses the engine untouched: each job builds a
-fresh :class:`~repro.exp.store.ResultStore` over the shared directory
-(the store's advisory file lock and reload-before-read coherence make
-concurrent jobs safe) and a fresh execution backend, so a job behaves
-byte-for-byte like the equivalent ``python -m repro sweep`` invocation.
+The manager deliberately reuses the engine untouched: it owns one
+:class:`~repro.exp.store.ResultStore` over the shared directory, which
+every job run, results fetch and health probe shares (the store's
+in-process lock makes that safe, and each lookup reads only what other
+writers appended since the last one), and each job builds a fresh
+execution backend, so a job behaves byte-for-byte like the equivalent
+``python -m repro sweep`` invocation.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from __future__ import annotations
 import secrets
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.exp import ExperimentSpec, ResultStore, SweepRunner
 from repro.exp.spec import ExperimentPoint
@@ -40,6 +46,12 @@ from repro.obs.spans import tracer
 from repro.serve.journal import Journal
 
 log = get_logger("serve.jobs")
+
+#: Terminal jobs the manager keeps in its table.  Past this, the oldest
+#: terminal job leaves the table (``GET /api/v1/jobs`` stops listing it,
+#: and its id gets a 404) once its terminal record is journaled; the
+#: journal keeps its history.  Pending and running jobs always stay.
+RETAINED_JOBS = 256
 
 
 class JobState(str, Enum):
@@ -54,6 +66,14 @@ class JobState(str, Enum):
     @property
     def terminal(self) -> bool:
         return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
+
+
+#: Job state after each non-terminal journal event; a terminal event
+#: (done, failed, cancelled) is its own state.
+_JOURNAL_STATES = {
+    "submitted": JobState.PENDING.value,
+    "started": JobState.RUNNING.value,
+}
 
 
 class JobCancelled(Exception):
@@ -120,11 +140,15 @@ class Job:
     # whose event is not logged yet: once a job reads as terminal, its
     # terminal event is already in the log for streams to deliver.
 
-    def mark_started(self) -> None:
+    def mark_started(self) -> bool:
+        """Move to running; False (and no change) if already finished."""
         with self._cond:
+            if self.state.terminal:
+                return False
             self.state = JobState.RUNNING
             self.started = time.time()
             self._event("started")
+        return True
 
     def record_point(self, label: str, cached: bool, completed: int) -> None:
         with self._cond:
@@ -210,7 +234,8 @@ class JobManager:
     journal_path:
         Optional JSONL :class:`~repro.serve.journal.Journal` of job
         lifecycle transitions.  Restart visibility: :meth:`history`
-        reads it back, including previous server runs' entries.
+        reads it back, including previous server runs' entries, and
+        jobs dropped from the table past :data:`RETAINED_JOBS`.
     """
 
     def __init__(
@@ -230,10 +255,12 @@ class JobManager:
         self.jobs = jobs
         self.use_cache = use_cache
         self.journal = Journal(journal_path, "job")
+        self.store = ResultStore(store_dir)
         self.run_id = secrets.token_hex(4)
         self._sequence = 0
         self._jobs: Dict[str, Job] = {}
         self._futures: Dict[str, Any] = {}
+        self._terminal: Deque[str] = deque()  # retained ids, oldest first
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
@@ -313,8 +340,7 @@ class JobManager:
         if future is not None and future.cancel():
             # Never started: the worker will not run, so finish it here.
             self._queue_depth.dec()
-            if job.finish(JobState.CANCELLED):
-                self._journal_terminal(job)
+            self._finish(job, JobState.CANCELLED)
         return job
 
     def shutdown(self, wait: bool = True) -> None:
@@ -325,8 +351,7 @@ class JobManager:
             job.request_cancel()
         self._pool.shutdown(wait=wait, cancel_futures=True)
         for job in jobs:
-            if job.finish(JobState.CANCELLED):
-                self._journal_terminal(job)
+            self._finish(job, JobState.CANCELLED)
         self._queue_depth.set(0)
         self._running_gauge.set(0)
 
@@ -334,12 +359,16 @@ class JobManager:
 
     def _execute(self, job: Job) -> None:
         self._queue_depth.dec()
-        if job.cancel_requested:
-            if job.finish(JobState.CANCELLED):
-                self._journal_terminal(job)
+        with job._cond:
+            # Starting and its journal record are one step, like
+            # finishing (see _finish), so the journal lists a job's
+            # records in the order its state took them.
+            started = not job.cancel_requested and job.mark_started()
+            if started:
+                self._journal(job, "started")
+        if not started:
+            self._finish(job, JobState.CANCELLED)
             return
-        job.mark_started()
-        self._journal(job, "started")
         self._running_gauge.inc()
         log.debug("job started", job=job.id, kind=job.kind)
 
@@ -351,18 +380,18 @@ class JobManager:
                 # backend abandons points that have not started.
                 raise JobCancelled()
 
-        store = ResultStore(self.store_dir)
         try:
             with tracer().span(
                 "job.run", job=job.id, kind=job.kind, total=job.total
             ) as span:
+                error = None
                 try:
                     if job.kind == "figure":
                         from repro.reporting import run_figure
 
                         output = run_figure(
                             job.figure,
-                            store=store,
+                            store=self.store,
                             jobs=self.jobs,
                             use_cache=self.use_cache,
                             progress=progress,
@@ -373,21 +402,21 @@ class JobManager:
                         ]
                     else:
                         runner = SweepRunner(
-                            store=store,
+                            store=self.store,
                             jobs=self.jobs,
                             use_cache=self.use_cache,
                             progress=progress,
                         )
                         runner.run(job.spec)
-                    finished = job.finish(JobState.DONE)
+                    state = JobState.DONE
                 except JobCancelled:
-                    finished = job.finish(JobState.CANCELLED)
-                except Exception as error:  # noqa: BLE001 - fault isolation:
+                    state = JobState.CANCELLED
+                except Exception as failure:  # noqa: BLE001 - fault isolation:
                     # one bad point (or a renderer bug) fails *this* job;
                     # the worker thread survives for the next one.
-                    finished = job.finish(
-                        JobState.FAILED, error=f"{type(error).__name__}: {error}"
-                    )
+                    state = JobState.FAILED
+                    error = f"{type(failure).__name__}: {failure}"
+                self._finish(job, state, error)
                 span.annotate(state=job.state.value)
         finally:
             self._running_gauge.dec()
@@ -398,11 +427,32 @@ class JobManager:
             state=job.state.value,
         ).inc()
         log.debug("job finished", job=job.id, state=job.state.value)
-        # finish() is first-transition-wins: if a racing cancel (or
-        # shutdown) already finished the job, it also journaled the
-        # terminal record — journaling here too would double it.
-        if finished:
+
+    def _finish(
+        self, job: Job, state: JobState, error: Optional[str] = None
+    ) -> bool:
+        """Finish ``job``, journal its terminal record and retire it, as one step.
+
+        All three run under the job's lock, so whoever sees the job
+        terminal (its state, or its terminal event on a stream) also
+        finds the terminal record in the journal — the only record of
+        the job once it leaves the table — and a table already trimmed
+        to :data:`RETAINED_JOBS` terminal jobs.  :meth:`Job.finish` is
+        first-transition-wins, so of a run, a cancel and a shutdown
+        racing to finish one job, the losers journal nothing.  Lock
+        order: a job's lock, then the manager's, never the reverse.
+        """
+        with job._cond:
+            if not job.finish(state, error):
+                return False
             self._journal_terminal(job)
+            with self._lock:
+                self._terminal.append(job.id)
+                while len(self._terminal) > RETAINED_JOBS:
+                    dropped = self._terminal.popleft()
+                    del self._jobs[dropped]
+                    self._futures.pop(dropped, None)
+        return True
 
     # -- journal -------------------------------------------------------
 
@@ -446,12 +496,10 @@ class JobManager:
                           "served_from_store", "simulated", "error"):
                 if field in record:
                     entry[field] = record[field]
-            if event in ("done", "failed", "cancelled"):
-                entry["state"] = event
-            elif "state" not in entry:
-                entry["state"] = (
-                    "running" if event == "started" else "pending"
-                )
+            # Records are appended in lifecycle order, so the latest one
+            # holds the state: a journal that ends at "started" is a job
+            # that was running when its server stopped.
+            entry["state"] = _JOURNAL_STATES.get(event, event)
         return list(summaries.values())
 
 

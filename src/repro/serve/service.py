@@ -2,7 +2,7 @@
 
 Each route is one function here.  It reads the service's state — the
 :class:`~repro.serve.jobs.JobManager`, the distributed-run
-:class:`~repro.serve.coordinator.Coordinator` and the shared
+:class:`~repro.serve.coordinator.Coordinator` and the manager's one
 :class:`~repro.exp.store.ResultStore` — and returns a transport-neutral
 :class:`Response`.  :data:`API_ROUTES` is derived from the one route
 table, and :func:`dispatch` maps ``(method, path)`` onto it, turning
@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import unquote
 
 from repro.caches.registry import design_names
-from repro.exp import ENGINE_VERSION, ResultStore
+from repro.exp import ENGINE_VERSION
 from repro.obs.metrics import registry, render_prometheus
 from repro.serve.coordinator import Coordinator, ServiceError
 from repro.serve.jobs import Job, JobManager, JobState, spec_from_payload
@@ -135,17 +135,16 @@ class SimulationService:
                     return
 
     def _result_rows(self, job: Job) -> List[Dict[str, Any]]:
-        """Per-point results, served from the shared store.
+        """Per-point results, served from the manager's store.
 
         The store is the source of truth for results — done jobs read
         back exactly what they persisted (byte-for-byte what a CLI
         sweep of the same spec would have stored), and cancelled or
         failed jobs serve whatever points completed before the end.
         """
-        store = ResultStore(self.manager.store_dir)
         rows = []
         for point in job.points:
-            result = store.get(point)
+            result = self.manager.store.get(point)
             rows.append({
                 "label": point.label(),
                 "key": point.key(),
@@ -253,17 +252,16 @@ def _index(service, params, query, body) -> Response:
 
 def _health(service, params, query, body) -> Response:
     manager = service.manager
-    store = ResultStore(manager.store_dir)
     by_state = {state.value: 0 for state in JobState}
     for job in manager.list():
-        by_state[job.snapshot()["state"]] += 1
+        by_state[job.state.value] += 1
     runs = service.coordinator.list_runs()
     return Response(payload={
         "status": "ok",
         "engine_version": ENGINE_VERSION,
         "run": manager.run_id,
-        "store": store.path,
-        "store_records": len(store),
+        "store": manager.store.path,
+        "store_records": len(manager.store),
         "workers": manager.workers,
         "jobs": by_state,
         "coordinator": {

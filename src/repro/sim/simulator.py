@@ -9,11 +9,10 @@ design for an apples-to-apples comparison.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
-from repro.caches.base import DramCache
 from repro.core.footprint_cache import FootprintCache
 from repro.mem.request import BLOCK_SIZE, MemoryRequest
 from repro.perf.timing_model import PerformanceModel, PerformanceResult

@@ -1,5 +1,6 @@
 """The figure registry and the ``repro report`` pipeline."""
 
+import dataclasses
 import os
 
 import pytest
@@ -88,6 +89,19 @@ class TestRegistryIntegrity:
     def test_get_figure_unknown_name(self):
         with pytest.raises(KeyError, match="unknown figure 'nope'"):
             get_figure("nope")
+
+    def test_points_are_computed_once_per_figure(self):
+        # A figure job reads its grid at submit and again to run and
+        # fetch it; every read must return the same (key-memoised)
+        # points.  Copies made with dataclasses.replace (as tracing
+        # wrappers rebuild the registry) compute theirs once too.
+        figure = get_figure("fig01")
+        assert figure.points() is figure.points()
+        for spec in figure.specs.values():
+            assert spec.points() is spec.points()
+        copy = dataclasses.replace(figure, render=lambda ctx: None)
+        assert copy.points() is copy.points()
+        assert copy.points() == figure.points()
 
 
 class TestRegistration:

@@ -10,20 +10,33 @@ Pins the contracts the serve layer promises:
 * fault isolation — one failing job reports ``failed`` without wedging
   the pool for the next job;
 * the JSONL journal: lifecycle survives a restart, prior-run entries
-  come back marked ``restored``;
+  come back marked ``restored``, and a job's terminal record is written
+  before anyone can see the job terminal;
+* the bounded job table: the newest ``RETAINED_JOBS`` terminal jobs
+  stay, older ones live on only in the journal;
+* one store and one grid per job: warm re-runs compute no point key;
 * the untrusted-payload gate (``plugins`` rejected unless opted in).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import threading
 import time
 
 import pytest
 
+import repro.exp.spec as spec_module
+import repro.serve.jobs as jobs_module
 from repro.exp import ExperimentSpec, ResultStore, SweepRunner
-from repro.serve import JobManager, JobState, spec_from_payload
+from repro.serve import JobManager, JobState, SimulationService, dispatch, spec_from_payload
+from repro.serve.journal import Journal
 from repro.sim.simulator import SimulationResult
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_STORE = os.path.join(REPO_ROOT, "benchmarks", "results", "cache", "results.jsonl")
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -296,6 +309,151 @@ def test_cancel_racing_completion_journals_one_terminal_record(
     ]
     assert len(terminal) == 1, terminal
     assert terminal[0]["event"] == job.snapshot()["state"]
+
+
+def test_history_state_comes_from_the_latest_record(
+    tmp_path, manager_factory
+):
+    # A server stopped while the job ran: its journal ends at
+    # "started", so a restarted server must show it running.
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text(
+        '{"event": "submitted", "job": "dead-0001", "kind": "sweep", '
+        '"run": "dead", "total": 2, "ts": 1.0}\n'
+        '{"event": "started", "job": "dead-0001", "run": "dead", "ts": 2.0}\n'
+    )
+    store = ResultStore(str(tmp_path / "store"))
+    history = manager_factory(store, journal_path=str(journal)).history()
+    assert len(history) == 1
+    assert history[0]["last_event"] == "started"
+    assert history[0]["state"] == "running"
+    assert history[0]["restored"] is True
+
+
+def test_terminal_record_is_journaled_before_the_job_reads_terminal(
+    tmp_path, result_payload, manager_factory, monkeypatch
+):
+    """The journal never lags the ``done`` event a client sees.
+
+    A slow terminal journal append (0.2 s injected) must hold back the
+    ``done`` event: a client that reads the journal right after the
+    event streams in finds the job's terminal record.
+    """
+    real_append = Journal.append
+
+    def slow_append(self, record):
+        if record["event"] in ("done", "failed", "cancelled"):
+            time.sleep(0.2)
+        real_append(self, record)
+
+    monkeypatch.setattr(Journal, "append", slow_append)
+    spec = tiny_spec(seeds=(0, 1))
+    store = warm_store(tmp_path, result_payload, spec)
+    manager = manager_factory(
+        store, journal_path=str(tmp_path / "journal.jsonl")
+    )
+    service = SimulationService(manager)
+    job = manager.submit_spec(spec)
+
+    stream = dispatch(service, "GET", f"/api/v1/jobs/{job.id}/events").stream
+    events = [json.loads(line) for line in stream]
+    assert events[-1]["event"] == "done"
+    journal = dispatch(service, "GET", "/api/v1/journal").payload
+    entries = {entry["job"]: entry for entry in journal["jobs"]}
+    assert entries[job.id]["state"] == "done"
+    assert entries[job.id]["served_from_store"] == 2
+
+
+def test_job_table_keeps_only_the_newest_terminal_jobs(
+    tmp_path, result_payload, manager_factory, monkeypatch
+):
+    monkeypatch.setattr(jobs_module, "RETAINED_JOBS", 4)
+    spec = tiny_spec(seeds=(0, 1))
+    store = warm_store(tmp_path, result_payload, spec)
+    manager = manager_factory(
+        store, journal_path=str(tmp_path / "journal.jsonl")
+    )
+    service = SimulationService(manager)
+    ids = []
+    for _ in range(10):
+        job = manager.submit_spec(spec)
+        assert wait_terminal(job)["state"] == JobState.DONE.value
+        ids.append(job.id)
+
+    listed = dispatch(service, "GET", "/api/v1/jobs").payload["jobs"]
+    assert [snapshot["id"] for snapshot in listed] == ids[-4:]
+    for route in ("", "/results", "/events"):
+        response = dispatch(service, "GET", f"/api/v1/jobs/{ids[0]}{route}")
+        assert response.status == 404, route
+    journal = dispatch(service, "GET", "/api/v1/journal").payload["jobs"]
+    assert [(entry["job"], entry["state"]) for entry in journal] == [
+        (job_id, "done") for job_id in ids
+    ]
+
+
+def test_pending_and_running_jobs_are_never_dropped(
+    tmp_path, result_payload, manager_factory, monkeypatch
+):
+    monkeypatch.setattr(jobs_module, "RETAINED_JOBS", 4)
+    started, release = threading.Event(), threading.Event()
+
+    class BlockingRunner:
+        def __init__(self, **kwargs):
+            pass
+
+        def run(self, spec):
+            started.set()
+            assert release.wait(timeout=60)
+
+    monkeypatch.setattr(jobs_module, "SweepRunner", BlockingRunner)
+    store = ResultStore(str(tmp_path / "store"))
+    manager = manager_factory(store)  # one worker
+    running = manager.submit_spec(tiny_spec())
+    assert started.wait(timeout=60)
+    pending = manager.submit_spec(tiny_spec())
+    # Cancelling queued jobs finishes them at once: ten terminal jobs
+    # pass through the table while the other two never leave it.
+    for _ in range(10):
+        manager.cancel(manager.submit_spec(tiny_spec()).id)
+
+    states = {job.id: job.snapshot()["state"] for job in manager.list()}
+    assert states.pop(running.id) == JobState.RUNNING.value
+    assert states.pop(pending.id) == JobState.PENDING.value
+    assert list(states.values()) == [JobState.CANCELLED.value] * 4
+    release.set()
+    assert wait_terminal(running)["state"] == JobState.DONE.value
+    assert wait_terminal(pending)["state"] == JobState.DONE.value
+
+
+def test_warm_figure_job_reuses_its_grid_and_keys(
+    tmp_path, manager_factory, monkeypatch
+):
+    # The figure's points are built once (at submit) and their keys
+    # memoised, so a second warm job hashes nothing: not to run, not to
+    # serve its results.
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    shutil.copyfile(GOLDEN_STORE, store_dir / "results.jsonl")
+    manager = manager_factory(ResultStore(str(store_dir)))
+    service = SimulationService(manager)
+    first = manager.submit_figure("table1")
+    assert wait_terminal(first)["state"] == JobState.DONE.value
+
+    real_point_key = spec_module.point_key
+    hashed = []
+
+    def counting_point_key(description):
+        hashed.append(description)
+        return real_point_key(description)
+
+    monkeypatch.setattr(spec_module, "point_key", counting_point_key)
+    second = manager.submit_figure("table1")
+    snapshot = wait_terminal(second)
+    assert snapshot["state"] == JobState.DONE.value
+    assert snapshot["progress"]["served_from_store"] == snapshot["progress"]["total"] == 3
+    results = dispatch(service, "GET", f"/api/v1/jobs/{second.id}/results").payload
+    assert results["complete"]
+    assert hashed == []
 
 
 def test_unknown_figure_raises_before_enqueue(

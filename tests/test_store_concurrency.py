@@ -10,7 +10,11 @@ simultaneously.  These tests pin the contract that makes that safe:
   exactly once, under the lock);
 * readers are coherent without locking — a second ``ResultStore``
   instance sees records another instance (or process) appended, with no
-  explicit ``invalidate()``.
+  explicit ``invalidate()``;
+* reads cost what changed — one instance parses each appended line
+  once, never a line still missing its newline, and starts over after
+  a compaction swaps the file;
+* one instance can be shared by threads while other processes append.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
+import types
 
 import pytest
 
+import repro.exp.store as store_module
 from repro.exp import ExperimentPoint, ResultStore, SweepRunner
 from repro.exp.locking import file_lock
 from repro.sim.simulator import SimulationResult
@@ -46,7 +53,8 @@ def result_payload() -> dict:
 
 # Child process body: append `count` records through the ResultStore
 # protocol, starting only once the go-file exists so all writers hit
-# the file together.  argv: store_dir result_json go_file worker count
+# the file together; `<go_file>.<worker>` says it is ready to.
+# argv: store_dir result_json go_file worker count
 _WRITER = """
 import json, os, sys, time
 sys.path.insert(0, {src!r})
@@ -57,6 +65,7 @@ store_dir, result_json, go_file, worker, count = sys.argv[1:6]
 with open(result_json) as handle:
     result = SimulationResult.from_dict(json.load(handle))
 store = ResultStore(store_dir)
+open(go_file + "." + worker, "w").close()
 while not os.path.exists(go_file):
     time.sleep(0.001)
 for i in range(int(count)):
@@ -68,30 +77,68 @@ for i in range(int(count)):
 """
 
 
+def _start_writers(tmp_path, result_payload, workers, count, first_worker=0):
+    """Launch writer processes, held until the go-file exists."""
+    store_dir = str(tmp_path / "store")
+    result_json = str(tmp_path / "result.json")
+    with open(result_json, "w") as handle:
+        json.dump(result_payload, handle)
+    script = _WRITER.format(src=os.path.join(REPO_ROOT, "src"))
+    return [
+        subprocess.Popen(
+            [sys.executable, "-c", script, store_dir, result_json,
+             str(tmp_path / "go"), str(worker), str(count)],
+        )
+        for worker in range(first_worker, first_worker + workers)
+    ]
+
+
+def _wait_ready(tmp_path, procs):
+    deadline = time.monotonic() + 120
+    while len(list(tmp_path.glob("go.*"))) < len(procs):
+        assert time.monotonic() < deadline, "writers never got ready"
+        time.sleep(0.01)
+
+
+def _go_and_wait(tmp_path, procs):
+    """Release the writers together, once all are ready; wait for them."""
+    _wait_ready(tmp_path, procs)
+    with open(tmp_path / "go", "w"):
+        pass
+    for proc in procs:
+        assert proc.wait(timeout=120) == 0
+
+
 def _run_writers(tmp_path, result_payload, workers=3, count=40, pre_tail=None):
     """Launch ``workers`` concurrent writer processes; return the store."""
     store_dir = str(tmp_path / "store")
-    result_json = str(tmp_path / "result.json")
-    go_file = str(tmp_path / "go")
-    with open(result_json, "w") as handle:
-        json.dump(result_payload, handle)
     if pre_tail is not None:
         os.makedirs(store_dir, exist_ok=True)
         with open(os.path.join(store_dir, "results.jsonl"), "w") as handle:
             handle.write(pre_tail)
-    script = _WRITER.format(src=os.path.join(REPO_ROOT, "src"))
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-c", script, store_dir, result_json, go_file,
-             str(worker), str(count)],
-        )
-        for worker in range(workers)
-    ]
-    with open(go_file, "w"):
-        pass
-    for proc in procs:
-        assert proc.wait(timeout=120) == 0
+    _go_and_wait(tmp_path, _start_writers(tmp_path, result_payload, workers, count))
     return ResultStore(store_dir)
+
+
+def _record_line(point, result_payload) -> str:
+    """The line ``put`` writes for ``point``."""
+    record = {"key": point.key(), "point": point.describe(), "result": result_payload}
+    return json.dumps(record, sort_keys=True)
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """Counts the lines the store module parses (its ``json.loads`` calls)."""
+    calls = []
+
+    def loads(text, *args, **kwargs):
+        calls.append(text)
+        return json.loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(store_module, "json", types.SimpleNamespace(
+        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError,
+    ))
+    return calls
 
 
 class TestConcurrentWriters:
@@ -201,3 +248,148 @@ class TestConcurrentWriters:
         assert stats.merged == 1
         assert len(dst) == 2
         assert dst.stats().live == 2
+
+
+class TestReadsCostWhatChanged:
+    def test_each_line_is_parsed_once_per_instance(
+        self, tmp_path, result_payload, parsed
+    ):
+        directory = str(tmp_path / "store")
+        shared, other = ResultStore(directory), ResultStore(directory)
+        result = SimulationResult.from_dict(result_payload)
+        for seed in range(3):
+            other.put(tiny_point(seed=seed), result)
+
+        parsed.clear()
+        assert len(shared) == 3
+        assert len(parsed) == 3
+        # An unchanged file costs a stat, not a parse.
+        for _ in range(5):
+            assert shared.get(tiny_point(seed=1)) is not None
+            assert len(shared) == 3
+        assert len(parsed) == 3
+
+        # Another instance appends two records: exactly two lines parse.
+        for seed in (3, 4):
+            other.put(tiny_point(seed=seed), result)
+        parsed.clear()
+        assert shared.get(tiny_point(seed=4)) is not None
+        assert len(parsed) == 2
+
+        # A process appends three more: exactly three lines parse.
+        _go_and_wait(tmp_path, _start_writers(
+            tmp_path, result_payload, workers=1, count=3, first_worker=9,
+        ))
+        parsed.clear()
+        assert len(shared) == 8
+        assert len(shared) == 8
+        assert len(parsed) == 3
+
+    def test_compaction_by_another_instance_reloads_fully(
+        self, tmp_path, result_payload, parsed
+    ):
+        directory = str(tmp_path / "store")
+        shared, other = ResultStore(directory), ResultStore(directory)
+        result = SimulationResult.from_dict(result_payload)
+        for seed in range(4):
+            other.put(tiny_point(seed=seed), result)
+        # A superseded record and a torn line for compaction to drop.
+        changed = dict(result_payload, miss_ratio=0.5)
+        with open(other.path, "a") as handle:
+            handle.write(_record_line(tiny_point(seed=0), changed) + "\n")
+            handle.write("{torn\n")
+        assert len(shared) == 4
+        inode = os.stat(shared.path).st_ino
+
+        other.compact()
+        assert os.stat(shared.path).st_ino != inode
+        # Appends grow the rewritten file past the old offset, so only
+        # the inode tells the shared instance the file was rewritten.
+        for seed in (4, 5, 6):
+            other.put(tiny_point(seed=seed), result)
+        parsed.clear()
+        assert len(shared) == 7
+        assert len(parsed) == 7  # every live line, from the start
+        assert shared.stats().live == 7
+        assert shared.get(tiny_point(seed=0)).miss_ratio == 0.5
+        assert shared.get(tiny_point(seed=6)) is not None
+
+    def test_line_without_newline_is_not_served(self, tmp_path, result_payload):
+        directory = str(tmp_path / "store")
+        shared = ResultStore(directory)
+        result = SimulationResult.from_dict(result_payload)
+        shared.put(tiny_point(seed=0), result)
+        assert len(shared) == 1
+
+        # An append in flight: half a line, no newline yet.
+        line = _record_line(tiny_point(seed=1), result_payload)
+        with open(shared.path, "a") as handle:
+            handle.write(line[:100])
+        assert shared.get(tiny_point(seed=1)) is None
+        assert len(shared) == 1
+        with open(shared.path, "a") as handle:
+            handle.write(line[100:] + "\n")
+        assert shared.get(tiny_point(seed=1)) is not None
+
+        # A crashed append: put ends the torn tail with a newline of its
+        # own, and the torn line stays skipped.
+        with open(shared.path, "a") as handle:
+            handle.write('{"key": "deadbeef", "poi')
+        assert len(shared) == 2
+        ResultStore(directory).put(tiny_point(seed=2), result)
+        assert shared.get(tiny_point(seed=2)) is not None
+        assert len(shared) == 3
+        stats = shared.stats()
+        assert (stats.live, stats.torn) == (3, 1)
+
+    def test_threads_share_one_instance_while_a_process_appends(
+        self, tmp_path, result_payload, parsed
+    ):
+        threads_count, per_thread, process_count = 4, 15, 30
+        shared = ResultStore(str(tmp_path / "store"))
+        result = SimulationResult.from_dict(result_payload)
+        procs = _start_writers(
+            tmp_path, result_payload, workers=1, count=process_count,
+            first_worker=50,
+        )
+        writer_done = threading.Event()
+        put, lost = [], []
+
+        def put_and_get(thread):
+            # At least per_thread puts, and on until the writer process
+            # has exited, so the threads race all of its appends.
+            index = 0
+            while index < per_thread or not writer_done.is_set():
+                point = tiny_point(seed=10_000 + thread + threads_count * index)
+                shared.put(point, result)
+                put.append(point)
+                for _ in range(3):  # reads race the other threads' loads
+                    if shared.get(point) is None:
+                        lost.append(point)
+                index += 1
+
+        _wait_ready(tmp_path, procs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=put_and_get, args=(thread,))
+                for thread in range(threads_count)
+            ]
+            for thread in threads:
+                thread.start()
+            try:
+                _go_and_wait(tmp_path, procs)
+            finally:
+                writer_done.set()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert lost == []
+        expected = len(put) + process_count
+        assert len(shared) == expected
+        # Every load ran alone: no line was parsed twice.
+        assert len(parsed) == expected
+        assert shared.stats().live == expected
