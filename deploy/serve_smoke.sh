@@ -70,19 +70,30 @@ echo "serve smoke: HTTP and CLI stores are byte-identical"
 
 # The server keeps one ResultStore for its whole life; it must follow
 # what other processes do to the file: an append from a CLI sweep, then
-# a compaction, which rewrites the file under a new inode.
+# a compaction, which rewrites the file under a new inode.  The server
+# reads past a torn line first, so the compacted file is shorter than
+# what it last read; a second CLI append then grows the file past that
+# length, and only a server that notices the rewrite serves six records
+# (one that kept reading from where it stopped would land mid-record).
+STORE_FILE="$WORK/http_store/results.jsonl"
 records() {
     curl -fsS "$BASE/health" |
         python -c 'import json, sys; print(json.load(sys.stdin)["store_records"])'
 }
+cli_point() {
+    python -m repro sweep --workloads web_search --designs page --capacities 64 \
+        --seeds "$1" --requests 4000 --store "$WORK/http_store" >/dev/null
+}
 test "$(records)" = 4
-python -m repro sweep --workloads web_search --designs page --capacities 64 \
-    --seeds 1 --requests 4000 --store "$WORK/http_store" >/dev/null
+cli_point 1
 test "$(records)" = 5
-INODE=$(stat -c %i "$WORK/http_store/results.jsonl")
+printf '{"torn\n' >>"$STORE_FILE"
+test "$(records)" = 5
+INODE=$(stat -c %i "$STORE_FILE")
 python -m repro store compact --store "$WORK/http_store" >/dev/null
-test "$(stat -c %i "$WORK/http_store/results.jsonl")" != "$INODE"
-test "$(records)" = 5
+test "$(stat -c %i "$STORE_FILE")" != "$INODE"
+cli_point 2
+test "$(records)" = 6
 curl -fsS "$BASE/jobs/$JOB/results" |
     python -c 'import json, sys; assert json.load(sys.stdin)["complete"]'
 echo "serve smoke: the server's store follows a CLI append and a compaction"

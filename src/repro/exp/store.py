@@ -18,17 +18,17 @@ lock on a sidecar ``results.jsonl.lock`` (:mod:`repro.exp.locking`), so
 any number of sweep processes and serve-layer job threads can share one
 store without interleaving bytes or clobbering the torn-tail repair.
 
-Readers are coherent without the file lock, and a load costs what
-changed, not the whole file.  The rewrite contract makes that possible:
-writers only ever append whole lines, and the one rewrite
+Readers are coherent without the file lock.  The rewrite contract makes
+that cheap: writers only ever append whole lines, and the one rewrite
 (:meth:`ResultStore.compact`, and :meth:`~ResultStore.gc` through it)
-writes a temp file and swaps it in with ``os.replace``.  So an instance
-remembers the file's inode and the offset just past the last complete
-line it parsed; the next lookup reads only the bytes past that offset,
-and a new inode (or a file shorter than the offset) means a rewrite, so
-it parses the file from the start.  An in-process lock guards that
-index, which lets one instance serve many threads: ``repro serve``
-keeps one store for every job, results fetch and health probe.
+writes a temp file and swaps it in with ``os.replace``.  So a load
+remembers the file's ``(mtime, size, inode)`` and a lookup reloads only
+when another writer has changed it — it can never serve a record older
+than the last load, only newer ones — while an instance's own appends
+update its index in place.  An in-process lock guards that index, which
+lets one instance serve many threads: ``repro serve`` keeps one store
+for every job, results fetch and health probe, and parses the file
+again only when another writer changes it.
 
 Invalidation leaves dead lines behind: appending never deletes, so an
 engine bump strands every old-version record, a re-run after ``--no-cache``
@@ -59,10 +59,6 @@ from repro.exp.spec import ENGINE_VERSION, ExperimentPoint, point_key
 from repro.sim.simulator import SimulationResult
 
 STORE_FILENAME = "results.jsonl"
-
-# Loads read the file in 64 KiB chunks: the 4-8 KiB default costs a
-# read call per few records, a few percent of a full load.
-_READ_BUFFER = 1 << 16
 
 # The repo checkout this package lives in (src/repro/exp/ -> repo root).
 _REPO_ROOT = os.path.dirname(
@@ -206,13 +202,13 @@ class ResultStore:
     * **Concurrent writers are safe** — every append (and the
       torn-tail check it depends on) runs under an exclusive advisory
       file lock, so simultaneous writers — sweep processes, serve-layer
-      job threads — never interleave bytes or lose records.  Reads take
-      no file lock but stay coherent: each lookup first reads whatever
-      other writers appended since the last one (see :meth:`_load`).
+      job threads — never interleave bytes or lose records.  Reads stay
+      free of the file lock but coherent: a load records the file's stat
+      signature and reloads whenever another writer has changed it.
     * **One instance, many threads** — an in-process lock guards the
-      index and its file offset, so threads may share one instance and
-      each appended line is parsed once per instance.  Lock order: the
-      file lock (writers) before the in-process lock, never after.
+      index and its signature, so threads may share one instance.  Lock
+      order: the file lock (writers) before the in-process lock, never
+      after.
     * **Engine versioning** — records written under a different
       :data:`~repro.exp.spec.ENGINE_VERSION` hash differently and are
       invisible to lookups; they stay on disk until :meth:`compact`.
@@ -225,57 +221,50 @@ class ResultStore:
         self.path = os.path.join(self.directory, STORE_FILENAME)
         self.lock_path = self.path + LOCK_SUFFIX
         self._mutex = threading.RLock()
-        self._index: Dict[str, Dict[str, Any]] = {}
-        # The file the index was read from, and the offset just past the
-        # last complete line parsed into it.
-        self._inode: Optional[int] = None
-        self._offset = 0
+        self._index: Optional[Dict[str, Dict[str, Any]]] = None
+        self._loaded_stat: Optional[Tuple[int, int, int]] = None
+
+    def _stat(self) -> Optional[Tuple[int, int, int]]:
+        """The file's change signature: ``(mtime_ns, size, inode)``.
+
+        Any append grows ``size``, any rewrite (:meth:`compact`) swaps
+        the inode — so an unchanged signature means the bytes the last
+        load saw are still exactly what is on disk.  The inode alone
+        would not do: a number freed by one compaction can come back in
+        a later one.  None when the file does not exist.
+        """
+        try:
+            status = os.stat(self.path)
+        except OSError:
+            return None
+        return (status.st_mtime_ns, status.st_size, status.st_ino)
 
     def _load(self) -> Dict[str, Dict[str, Any]]:
-        """The key -> result index, after reading what was appended.
+        """The key -> result index, reloading if the file changed on disk.
 
-        An unchanged file costs one ``stat``.  A grown one costs only its
-        new bytes: they are read from the remembered offset, and every
-        line that ends in a newline is parsed into the index.  A line
-        without its newline — an append still in flight, or a crashed
-        writer's torn tail — is not consumed; the offset stays before it
-        until the line is complete (or :meth:`put`'s repair newline ends
-        it as a skippable torn line).  A new inode or a file shorter
-        than the offset is a rewrite, so the index is rebuilt from the
-        start of the file.  That covers every change the rewrite
-        contract allows (see the module docstring); a file rewritten in
-        place, bypassing ``os.replace``, is not detected.
-
-        The inode and size checked are the open file's, so a rewrite
-        between the check and the read cannot mix two files.  Loads run
-        under the in-process lock: threads sharing this instance read
-        each appended line once, never concurrently.
+        The signature is taken *before* reading, so a write that lands
+        mid-read makes the signature stale and triggers a fresh reload
+        on the next access — reads are never torn, at worst repeated.
+        Loads run under the in-process lock, so threads sharing this
+        instance never see an index half built or half replaced.
         """
         with self._mutex:
-            try:
-                status = os.stat(self.path)
-            except OSError:  # no file yet, or removed
-                self._index, self._inode, self._offset = {}, None, 0
-                return self._index
-            if status.st_ino == self._inode and status.st_size == self._offset:
-                return self._index
-            with open(self.path, "rb", buffering=_READ_BUFFER) as handle:
-                status = os.fstat(handle.fileno())
-                if status.st_ino != self._inode or status.st_size < self._offset:
-                    self._index, self._inode, self._offset = {}, status.st_ino, 0
-                handle.seek(self._offset)
-                index = self._index
-                for line in handle:
-                    if not line.endswith(b"\n"):
-                        break
-                    self._offset += len(line)
-                    if line.isspace():
-                        continue
-                    try:
-                        record = json.loads(line.decode())
-                        index[record["key"]] = record["result"]
-                    except (ValueError, KeyError, TypeError):
-                        continue  # a torn line
+            stat = self._stat()
+            if self._index is None or stat != self._loaded_stat:
+                index: Dict[str, Dict[str, Any]] = {}
+                if stat is not None:
+                    with open(self.path) as handle:
+                        for line in handle:
+                            line = line.strip()
+                            if not line:
+                                continue
+                            try:
+                                record = json.loads(line)
+                                index[record["key"]] = record["result"]
+                            except (json.JSONDecodeError, KeyError, TypeError):
+                                continue
+                self._index = index
+                self._loaded_stat = stat
             return self._index
 
     def get(self, point: ExperimentPoint) -> Optional[SimulationResult]:
@@ -330,12 +319,15 @@ class ResultStore:
             "result": result.to_dict(),
         }
         line = json.dumps(record, sort_keys=True)
-        with file_lock(self.lock_path):
-            # Load-then-append under one lock: the refreshed index holds
-            # every concurrent writer's records, and no append can land
-            # between the check and ours.  The next load parses our line
-            # like any other writer's.
-            stored = self._load().get(record["key"])
+        with file_lock(self.lock_path), self._mutex:
+            # Load-then-append under one lock: the refreshed index picks
+            # up every concurrent writer's records, our append lands
+            # after them, and the post-append signature is taken while
+            # no other writer can slip in — so the cached index stays
+            # exactly the file's content.  The in-process lock keeps
+            # this instance's other threads from loading in between.
+            index = self._load()
+            stored = index.get(record["key"])
             # Results round-trip exactly (SimulationResult.to_dict), and
             # the key pins the point, so re-serialising the stored result
             # reproduces the stored line.
@@ -344,11 +336,14 @@ class ResultStore:
             ) == line:
                 return
             self._append_locked([line])
+            index[record["key"]] = record["result"]
+            self._loaded_stat = self._stat()
 
     def invalidate(self) -> None:
         """Forget the in-memory index (reload from disk on next access)."""
         with self._mutex:
-            self._index, self._inode, self._offset = {}, None, 0
+            self._index = None
+            self._loaded_stat = None
 
     # ------------------------------------------------------------------
     # Maintenance: stats / compact / gc
@@ -531,6 +526,7 @@ class ResultStore:
                 raise StoreMergeConflict(conflicts)
             if appended:
                 self._append_locked(appended)
+                self.invalidate()
         return MergeStats(
             destination=self.path,
             sources=tuple(paths),

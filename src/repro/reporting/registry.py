@@ -95,15 +95,7 @@ class Figure:
     description: str = ""
 
     def points(self) -> Tuple[ExperimentPoint, ...]:
-        """Every grid point this figure consumes, deduplicated, in order.
-
-        Computed once per figure object, like
-        :meth:`ExperimentSpec.points`; a ``dataclasses.replace`` copy
-        computes its own once, from the same memoised spec points.
-        """
-        cached = self.__dict__.get("_points")
-        if cached is not None:
-            return cached
+        """Every grid point this figure consumes, deduplicated, in order."""
         seen = set()
         out: List[ExperimentPoint] = []
         for spec in self.specs.values():
@@ -111,8 +103,7 @@ class Figure:
                 if point not in seen:
                     seen.add(point)
                     out.append(point)
-        object.__setattr__(self, "_points", tuple(out))
-        return self._points
+        return tuple(out)
 
 
 class FigureContext:

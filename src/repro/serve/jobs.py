@@ -22,8 +22,8 @@ history of the jobs it drops.
 The manager deliberately reuses the engine untouched: it owns one
 :class:`~repro.exp.store.ResultStore` over the shared directory, which
 every job run, results fetch and health probe shares (the store's
-in-process lock makes that safe, and each lookup reads only what other
-writers appended since the last one), and each job builds a fresh
+in-process lock makes that safe, and the file is parsed again only
+when another writer changes it), and each job builds a fresh
 execution backend, so a job behaves byte-for-byte like the equivalent
 ``python -m repro sweep`` invocation.
 """
@@ -430,7 +430,7 @@ class JobManager:
 
     def _finish(
         self, job: Job, state: JobState, error: Optional[str] = None
-    ) -> bool:
+    ) -> None:
         """Finish ``job``, journal its terminal record and retire it, as one step.
 
         All three run under the job's lock, so whoever sees the job
@@ -444,7 +444,7 @@ class JobManager:
         """
         with job._cond:
             if not job.finish(state, error):
-                return False
+                return
             self._journal_terminal(job)
             with self._lock:
                 self._terminal.append(job.id)
@@ -452,7 +452,6 @@ class JobManager:
                     dropped = self._terminal.popleft()
                     del self._jobs[dropped]
                     self._futures.pop(dropped, None)
-        return True
 
     # -- journal -------------------------------------------------------
 

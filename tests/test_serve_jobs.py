@@ -428,9 +428,9 @@ def test_pending_and_running_jobs_are_never_dropped(
 def test_warm_figure_job_reuses_its_grid_and_keys(
     tmp_path, manager_factory, monkeypatch
 ):
-    # The figure's points are built once (at submit) and their keys
-    # memoised, so a second warm job hashes nothing: not to run, not to
-    # serve its results.
+    # The figure's spec grids are built once and their keys memoised,
+    # so a second warm job hashes nothing: not to run, not to serve its
+    # results.
     store_dir = tmp_path / "store"
     store_dir.mkdir()
     shutil.copyfile(GOLDEN_STORE, store_dir / "results.jsonl")

@@ -11,9 +11,10 @@ simultaneously.  These tests pin the contract that makes that safe:
 * readers are coherent without locking — a second ``ResultStore``
   instance sees records another instance (or process) appended, with no
   explicit ``invalidate()``;
-* reads cost what changed — one instance parses each appended line
-  once, never a line still missing its newline, and starts over after
-  a compaction swaps the file;
+* reads cost what changed — an instance parses the file again only
+  when another writer changed it (its own appends update its index),
+  and a compaction is seen even when the filesystem reuses an inode
+  number;
 * one instance can be shared by threads while other processes append.
 """
 
@@ -251,7 +252,7 @@ class TestConcurrentWriters:
 
 
 class TestReadsCostWhatChanged:
-    def test_each_line_is_parsed_once_per_instance(
+    def test_only_another_writers_change_costs_a_parse(
         self, tmp_path, result_payload, parsed
     ):
         directory = str(tmp_path / "store")
@@ -263,31 +264,39 @@ class TestReadsCostWhatChanged:
         parsed.clear()
         assert len(shared) == 3
         assert len(parsed) == 3
-        # An unchanged file costs a stat, not a parse.
+        # An unchanged file costs a stat, not a parse; so do the
+        # instance's own appends.
+        for seed in (3, 4):
+            shared.put(tiny_point(seed=seed), result)
         for _ in range(5):
-            assert shared.get(tiny_point(seed=1)) is not None
-            assert len(shared) == 3
+            assert shared.get(tiny_point(seed=4)) is not None
+            assert len(shared) == 5
         assert len(parsed) == 3
 
-        # Another instance appends two records: exactly two lines parse.
-        for seed in (3, 4):
-            other.put(tiny_point(seed=seed), result)
+        # Another instance appends: one reload, then stats again.
+        other.put(tiny_point(seed=5), result)
         parsed.clear()
-        assert shared.get(tiny_point(seed=4)) is not None
-        assert len(parsed) == 2
+        assert shared.get(tiny_point(seed=5)) is not None
+        assert len(shared) == 6
+        assert len(parsed) == 6
 
-        # A process appends three more: exactly three lines parse.
+        # So does a process.
         _go_and_wait(tmp_path, _start_writers(
             tmp_path, result_payload, workers=1, count=3, first_worker=9,
         ))
         parsed.clear()
-        assert len(shared) == 8
-        assert len(shared) == 8
-        assert len(parsed) == 3
+        assert len(shared) == 9
+        assert len(shared) == 9
+        assert len(parsed) == 9
 
-    def test_compaction_by_another_instance_reloads_fully(
-        self, tmp_path, result_payload, parsed
-    ):
+    @staticmethod
+    def _compacted_and_grown(tmp_path, result_payload):
+        """A loaded instance, then another compacts the file and appends.
+
+        Returns ``(shared, inode)``: the instance and the inode of the
+        file it last loaded.  The rewritten file ends up longer than the
+        one the instance loaded, with different bytes before its end.
+        """
         directory = str(tmp_path / "store")
         shared, other = ResultStore(directory), ResultStore(directory)
         result = SimulationResult.from_dict(result_payload)
@@ -299,22 +308,55 @@ class TestReadsCostWhatChanged:
             handle.write(_record_line(tiny_point(seed=0), changed) + "\n")
             handle.write("{torn\n")
         assert len(shared) == 4
-        inode = os.stat(shared.path).st_ino
+        before = os.stat(shared.path)
 
         other.compact()
-        assert os.stat(shared.path).st_ino != inode
-        # Appends grow the rewritten file past the old offset, so only
-        # the inode tells the shared instance the file was rewritten.
+        assert os.stat(shared.path).st_ino != before.st_ino
         for seed in (4, 5, 6):
             other.put(tiny_point(seed=seed), result)
+        assert os.stat(shared.path).st_size > before.st_size
+        return shared, before.st_ino
+
+    @staticmethod
+    def _serves_exactly_the_live_records(shared):
+        assert len(shared) == 7
+        assert shared.stats().live == 7
+        assert shared.get(tiny_point(seed=0)).miss_ratio == 0.5
+        assert all(shared.get(tiny_point(seed=seed)) for seed in range(7))
+
+    def test_compaction_by_another_instance_reloads_fully(
+        self, tmp_path, result_payload, parsed
+    ):
+        shared, _ = self._compacted_and_grown(tmp_path, result_payload)
         parsed.clear()
         assert len(shared) == 7
         assert len(parsed) == 7  # every live line, from the start
-        assert shared.stats().live == 7
-        assert shared.get(tiny_point(seed=0)).miss_ratio == 0.5
-        assert shared.get(tiny_point(seed=6)) is not None
+        self._serves_exactly_the_live_records(shared)
 
-    def test_line_without_newline_is_not_served(self, tmp_path, result_payload):
+    def test_a_reused_inode_number_still_reloads(
+        self, tmp_path, result_payload, monkeypatch
+    ):
+        # A filesystem may hand the inode number freed by one compaction
+        # to the next one's file; fake that by reporting the rewritten
+        # file under the number the instance loaded from.
+        shared, old_inode = self._compacted_and_grown(tmp_path, result_payload)
+        new_inode = os.stat(shared.path).st_ino
+        real_stat, real_fstat = os.stat, os.fstat
+
+        def reuse(status):
+            if status.st_ino != new_inode:
+                return status
+            cls, (fields, extra) = status.__reduce__()
+            fields = list(fields)
+            fields[1] = old_inode  # st_ino
+            return cls(fields, extra)
+
+        monkeypatch.setattr(os, "stat", lambda *a, **k: reuse(real_stat(*a, **k)))
+        monkeypatch.setattr(os, "fstat", lambda *a, **k: reuse(real_fstat(*a, **k)))
+        assert os.stat(shared.path).st_ino == old_inode
+        self._serves_exactly_the_live_records(shared)
+
+    def test_partial_line_is_served_once_complete(self, tmp_path, result_payload):
         directory = str(tmp_path / "store")
         shared = ResultStore(directory)
         result = SimulationResult.from_dict(result_payload)
@@ -342,8 +384,54 @@ class TestReadsCostWhatChanged:
         stats = shared.stats()
         assert (stats.live, stats.torn) == (3, 1)
 
+    def test_a_load_racing_a_put_keeps_the_put_record(
+        self, tmp_path, result_payload, monkeypatch
+    ):
+        # A reader thread has read another writer's append but not yet
+        # installed its index when the main thread puts.  Unless the two
+        # take turns, the reader's index, read before the put's line
+        # landed, replaces the one the put updates, and the put's record
+        # is not served.
+        directory = str(tmp_path / "store")
+        shared, other = ResultStore(directory), ResultStore(directory)
+        result = SimulationResult.from_dict(result_payload)
+        other.put(tiny_point(seed=0), result)
+        assert len(shared) == 1
+        other.put(tiny_point(seed=1), result)
+
+        read, appended = threading.Event(), threading.Event()
+
+        class ReaderWaitsOnClose:
+            def __init__(self, *args, **kwargs):
+                self.handle = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self.handle
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+                if threading.current_thread() is reader:
+                    read.set()
+                    appended.wait(timeout=0.5)
+
+        def append_then_let_the_reader_finish(lines):
+            append(lines)
+            appended.set()
+            reader.join(timeout=10)
+
+        monkeypatch.setattr(store_module, "open", ReaderWaitsOnClose, raising=False)
+        append = shared._append_locked
+        monkeypatch.setattr(shared, "_append_locked", append_then_let_the_reader_finish)
+        reader = threading.Thread(target=len, args=(shared,))
+        reader.start()
+        assert read.wait(timeout=10)
+        shared.put(tiny_point(seed=2), result)
+        reader.join(timeout=10)
+        assert shared.get(tiny_point(seed=2)) is not None
+        assert len(shared) == 3
+
     def test_threads_share_one_instance_while_a_process_appends(
-        self, tmp_path, result_payload, parsed
+        self, tmp_path, result_payload
     ):
         threads_count, per_thread, process_count = 4, 15, 30
         shared = ResultStore(str(tmp_path / "store"))
@@ -390,6 +478,4 @@ class TestReadsCostWhatChanged:
         assert lost == []
         expected = len(put) + process_count
         assert len(shared) == expected
-        # Every load ran alone: no line was parsed twice.
-        assert len(parsed) == expected
         assert shared.stats().live == expected
